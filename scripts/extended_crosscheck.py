@@ -1,8 +1,10 @@
 """Exhaustively compare the three embeddability deciders beyond the test range.
 
-The test suite sweeps n <= 6.  This script goes further (n = 7 takes a few
-minutes, n = 8 is an overnight job) and prints a per-size table of graph
-counts, pattern-free counts, and any decider mismatches.
+The test suite sweeps n <= 6.  This script goes further and prints a
+per-size table of graph counts, pattern-free counts, and any decider
+mismatches.  On one core of a 2-vCPU KVM guest with Python 3.11, n = 6 took
+1.2-1.5 s and n = 7 (2,097,152 graphs) 71-79 s in two runs; n = 8 has 128
+times as many graphs and is an overnight job.
 
 Usage:
     python scripts/extended_crosscheck.py --max-n 7

@@ -6,15 +6,17 @@ adjacent vertices plus a third adjacent to neither (the graph of Z^2 * Z).
 A graph avoids that pattern exactly when its complement is a disjoint union
 of cliques, i.e. when the graph itself is complete multipartite with some
 universal vertices.  ``find_forbidden_triple`` scans for the pattern
-directly; ``recognize_multipartite`` checks the complement structure and
-hands back the canonical commuting partition.
+directly; ``recognize_multipartite`` checks the complement structure as
+twin classes (every vertex of a block has the same neighbourhood, and the
+block is exactly the non-neighbours of each of its vertices) and hands back
+the canonical commuting partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, complement, connected_components, is_clique, universal_vertices
+from .graphs import Graph, _bits, _low
 from .partition import CommutingPartition
 
 
@@ -56,8 +58,7 @@ def find_forbidden_triple(g: Graph) -> ForbiddenTriple | None:
         blocked = g.adj[a] | g.adj[b] | 1 << a | 1 << b
         free = full & ~blocked
         if free:
-            c = (free & -free).bit_length() - 1
-            return ForbiddenTriple(a, b, c)
+            return ForbiddenTriple(a, b, _low(free))
     return None
 
 
@@ -67,25 +68,32 @@ def is_nb(g: Graph) -> bool:
 
 
 def recognize_multipartite(g: Graph) -> CommutingPartition | None:
-    """Canonical commuting partition via the complement, or None.
+    """Canonical commuting partition by twin classes, or None.
 
-    Succeeds exactly when every complement component is a clique of the
-    complement.  Singleton components whose vertex is universal in g make up
-    p0; the remaining components, ordered by minimum vertex, are the parts.
-    The universality proviso matters only on the one-vertex graph, whose sole
-    vertex has eccentricity 0 and therefore stays out of p0.
+    The complement is a disjoint union of cliques exactly when every vertex v
+    shares its neighbourhood with each of its non-neighbours, the block
+    ``full & ~adj[v]`` (v included, the graph being loop-free).  Blocks are
+    taken from the least vertex not yet covered, so they come out ordered
+    by minimum vertex.  A singleton block holds a universal vertex and goes
+    to p0, except on the one-vertex graph, whose sole vertex has
+    eccentricity 0 and therefore stays a part.
     """
-    co = complement(g)
-    comps = connected_components(co)
-    for comp in comps:
-        if not is_clique(co, comp):
-            return None
-    uni = universal_vertices(g)
+    full = (1 << g.n) - 1
+    adj = g.adj
+    seen = 0
     p0 = []
     parts = []
-    for comp in comps:
-        if len(comp) == 1 and comp[0] in uni:
-            p0.append(comp[0])
-        else:
-            parts.append(frozenset(comp))
+    for v, row in enumerate(adj):
+        if seen >> v & 1:
+            continue
+        block = full & ~row
+        seen |= block
+        if block == 1 << v and g.n > 1:
+            p0.append(v)
+            continue
+        members = _bits(block)
+        for u in members:
+            if adj[u] != row:
+                return None
+        parts.append(frozenset(members))
     return CommutingPartition(frozenset(p0), tuple(parts))

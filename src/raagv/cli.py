@@ -19,7 +19,7 @@ import json
 import sys
 from typing import Sequence
 
-from .graphio import LabelMap, ParseError, emit_edge_list, parse_edge_list, parse_graph6
+from .graphio import LabelMap, emit_edge_list, parse_edge_list, parse_graph6
 from .graphs import Graph
 from .groups import (
     Embeddable,
@@ -253,9 +253,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

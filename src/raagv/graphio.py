@@ -3,8 +3,10 @@
 The edge-list dialect is line based: ``#`` starts a comment, the first
 significant line is ``n <count>``, and every following line is
 ``e <u> <v>``.  Endpoint labels may be arbitrary whitespace-free tokens;
-when every label is an integer in range it is used as the vertex index
-directly, otherwise labels get indices in order of first appearance.
+when every label is a vertex number ``0``..``n-1`` written the way
+``str`` writes it, it is used as the vertex index directly, otherwise labels
+get indices in order of first appearance.  The count may not exceed
+``MAX_VERTICES``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,12 @@ from dataclasses import dataclass
 
 from .graphs import Graph, new_graph
 from .partition import CommutingPartition
+
+
+# Largest vertex count an edge-list header may declare.  The count sizes the
+# label table and the adjacency list before any edge is read, so an unchecked
+# header could ask for memory the input never justifies.
+MAX_VERTICES = 1 << 16
 
 
 class ParseError(ValueError):
@@ -64,6 +72,8 @@ def parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
                 raise ParseError(f"line {lineno}: vertex count {tokens[1]!r} is not an integer") from None
             if n < 0:
                 raise ParseError(f"line {lineno}: vertex count must be nonnegative")
+            if n > MAX_VERTICES:
+                raise ParseError(f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
             continue
         if tokens[0] == "n":
             raise ParseError(f"line {lineno}: duplicate 'n' header")
@@ -75,8 +85,11 @@ def parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
     if n is None:
         raise ParseError("line 1: missing 'n <count>' header")
 
-    labels = _resolve_labels(n, raw_edges)
+    labels = LabelMap.default(n)
     index = {lab: i for i, lab in enumerate(labels.labels)}
+    if not all(lu in index and lv in index for lu, lv, _ in raw_edges):
+        labels = _assign_labels(n, raw_edges)
+        index = {lab: i for i, lab in enumerate(labels.labels)}
     edges = []
     for lu, lv, lineno in raw_edges:
         u, v = index[lu], index[lv]
@@ -86,21 +99,9 @@ def parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
     return new_graph(n, edges), labels
 
 
-def _resolve_labels(n: int, raw_edges: list[tuple[str, str, int]]) -> LabelMap:
-    tokens = [t for lu, lv, _ in raw_edges for t in (lu, lv)]
-    numeric = True
-    for t in tokens:
-        try:
-            v = int(t)
-        except ValueError:
-            numeric = False
-            break
-        if not 0 <= v < n:
-            numeric = False
-            break
-    if numeric:
-        return LabelMap.default(n)
-
+def _assign_labels(n: int, raw_edges: list[tuple[str, str, int]]) -> LabelMap:
+    """Indices in order of first appearance; unused vertices get their own
+    number as label, prefixed with ``_`` until it is unique."""
     assigned: dict[str, int] = {}
     for lu, lv, lineno in raw_edges:
         for t in (lu, lv):

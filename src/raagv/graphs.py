@@ -47,12 +47,18 @@ class Graph:
 
 
 def _bits(mask: int) -> tuple[int, ...]:
+    """The vertices of a mask, ascending."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def _low(mask: int) -> int:
+    """The least vertex of a nonempty mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -112,12 +118,15 @@ def eccentricity(g: Graph, v: int) -> int | None:
 def universal_vertices(g: Graph) -> frozenset[int]:
     """The vertices of eccentricity exactly one.
 
-    Empty for n <= 1: the sole vertex of a one-vertex graph has
-    eccentricity 0, and an empty graph has no vertices at all.
+    For n >= 2 those are the vertices adjacent to every other vertex, which
+    one mask compare per vertex finds.  Empty for n <= 1: the sole vertex of
+    a one-vertex graph has eccentricity 0, and an empty graph has no
+    vertices at all.
     """
     if g.n <= 1:
         return frozenset()
-    return frozenset(v for v in range(g.n) if eccentricity(g, v) == 1)
+    full = (1 << g.n) - 1
+    return frozenset(v for v, row in enumerate(g.adj) if row | 1 << v == full)
 
 
 def complement(g: Graph) -> Graph:

@@ -8,18 +8,22 @@ vertex adjacent to neither endpoint"; on such graphs the partition is unique
 as an unordered family of blocks.
 
 This module has the greedy construction (with pluggable pivot rules), the
-validator for the defining conditions, and the canonical complement-based
-partition.  Construction failures are converted into forbidden-triple
-witnesses.
+validator for the defining conditions, and the canonical partition from the
+twin-class recognizer.  All three work on adjacency masks: a part is valid
+exactly when each of its vertices is adjacent to everything outside it and
+nothing inside it, one mask compare per vertex.  Construction failures are
+converted into forbidden-triple witnesses.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .graphs import Graph, _mask, universal_vertices
+from .graphs import Graph, _bits, _low, _mask, universal_vertices
 
 if TYPE_CHECKING:
     from .classify import ForbiddenTriple
@@ -90,6 +94,7 @@ def validate_partition(g: Graph, p: CommutingPartition) -> Violation | None:
     (overlap or non-coverage); that is a malformed input, not a Violation.
     """
     blocks = p.blocks()
+    masks = []
     union = 0
     for block in blocks:
         for v in block:
@@ -99,27 +104,39 @@ def validate_partition(g: Graph, p: CommutingPartition) -> Violation | None:
         if union & mask:
             raise ValueError("blocks overlap")
         union |= mask
-    if union != (1 << g.n) - 1:
+        masks.append(mask)
+    full = (1 << g.n) - 1
+    if union != full:
         raise ValueError("blocks do not cover the vertex set")
 
     ecc_one = universal_vertices(g)
-    for v in range(g.n):
-        if (v in p.p0) != (v in ecc_one):
-            return WrongP0(v, should_be_in_p0=v in ecc_one)
+    if p.p0 != ecc_one:
+        v = min(p.p0 ^ ecc_one)
+        return WrongP0(v, should_be_in_p0=v in ecc_one)
 
-    for k, part in enumerate(p.parts, start=1):
-        verts = sorted(part)
-        for i, u in enumerate(verts):
-            for v in verts[i + 1 :]:
-                if g.has_edge(u, v):
-                    return InternalEdge(u, v, k)
+    # p0 now holds exactly the universal vertices, so the partition is valid
+    # iff every part vertex is adjacent to precisely the vertices outside its
+    # part.  Only a failure needs the ordered search that names it.
+    adj = g.adj
+    if all(adj[v] == full & ~mask for part, mask in zip(p.parts, masks[1:]) for v in part):
+        return None
 
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            for u in sorted(blocks[i]):
-                for v in sorted(blocks[j]):
-                    if not g.has_edge(u, v):
-                        return MissingCrossEdge(u, v, (i, j))
+    for k, (part, mask) in enumerate(zip(p.parts, masks[1:]), start=1):
+        for u in sorted(part):
+            # an edge to a lower vertex of the part would have been named first
+            inside = adj[u] & mask
+            if inside:
+                return InternalEdge(u, _low(inside), k)
+
+    later = full
+    for i, (block, mask) in enumerate(zip(blocks, masks)):
+        later &= ~mask
+        misses = {u: later & ~adj[u] for u in sorted(block)}
+        missed = reduce(or_, misses.values(), 0)
+        if missed:
+            j = next(j for j in range(i + 1, len(masks)) if masks[j] & missed)
+            u = next(u for u, m in misses.items() if m & masks[j])
+            return MissingCrossEdge(u, _low(misses[u] & masks[j]), (i, j))
     return None
 
 
@@ -155,17 +172,18 @@ def run_greedy(g: Graph, pivot_rule: PivotRule = min_pivot) -> GreedyRun:
     hence a non-neighbor of itself) lands in the part it generates.
     """
     p0 = universal_vertices(g)
-    remaining = set(range(g.n)) - p0
+    remaining = (1 << g.n) - 1 & ~_mask(p0)
     parts: list[frozenset[int]] = []
     pivots: list[int] = []
     while remaining:
-        w = pivot_rule(tuple(sorted(remaining)))
-        if w not in remaining:
+        candidates = _bits(remaining)
+        w = pivot_rule(candidates)
+        if w not in candidates:
             raise ValueError("pivot rule chose a vertex outside the remaining set")
-        part = frozenset(v for v in remaining if not g.has_edge(w, v))
-        parts.append(part)
+        part = remaining & ~g.adj[w]
+        parts.append(frozenset(_bits(part)))
         pivots.append(w)
-        remaining -= part
+        remaining ^= part
     return GreedyRun(p0, tuple(parts), tuple(pivots))
 
 
@@ -181,9 +199,6 @@ def greedy_partition(
     part pairs with that part's pivot, and a missing cross edge pairs the
     later block's vertex with the earlier part's pivot.
     """
-    # imported here: classify depends on this module for the partition type
-    from .classify import ForbiddenTriple, find_forbidden_triple
-
     run = run_greedy(g, pivot_rule)
     candidate = CommutingPartition(run.p0, run.parts)
     violation = validate_partition(g, candidate)
@@ -193,22 +208,20 @@ def greedy_partition(
     triple = _witness_from_violation(run, violation)
     if triple is not None and triple.holds_in(g):
         return triple
-    fallback = find_forbidden_triple(g)
+    fallback = classify.find_forbidden_triple(g)
     if fallback is None:
         raise AssertionError("greedy construction failed on a triple-free graph")
     return fallback
 
 
 def _witness_from_violation(run: GreedyRun, violation: Violation) -> ForbiddenTriple | None:
-    from .classify import ForbiddenTriple
-
     if isinstance(violation, InternalEdge):
         w = run.pivots[violation.part - 1]
         u, v = violation.u, violation.v
         if w in (u, v):
             return None
         # u, v both landed in w's part, so neither is adjacent to w
-        return ForbiddenTriple(min(u, v), max(u, v), w)
+        return classify.ForbiddenTriple(min(u, v), max(u, v), w)
     if isinstance(violation, MissingCrossEdge):
         i, j = violation.blocks
         if i == 0:
@@ -219,20 +232,22 @@ def _witness_from_violation(run: GreedyRun, violation: Violation) -> ForbiddenTr
             return None
         # v stayed unassigned when w's part formed, so (v, w) is an edge,
         # while u is adjacent to neither v nor its own pivot w
-        return ForbiddenTriple(min(v, w), max(v, w), u)
+        return classify.ForbiddenTriple(min(v, w), max(v, w), u)
     return None
 
 
 def canonical_partition(g: Graph) -> CommutingPartition | ForbiddenTriple:
-    """The complement-component partition when one exists, else the
-    lexicographically least forbidden triple."""
-    # imported here: classify depends on this module for the partition type
-    from .classify import find_forbidden_triple, recognize_multipartite
-
-    part = recognize_multipartite(g)
+    """The twin-class partition when one exists, else the lexicographically
+    least forbidden triple."""
+    part = classify.recognize_multipartite(g)
     if part is not None:
         return part
-    witness = find_forbidden_triple(g)
+    witness = classify.find_forbidden_triple(g)
     if witness is None:
         raise AssertionError("recognizer rejected a triple-free graph")
     return witness
+
+
+# Last, because classify imports this module for the partition type; the
+# functions above look its names up when called.
+from . import classify  # noqa: E402

@@ -8,11 +8,25 @@ dicts and itertools) so that agreement tests actually compare two routes.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from raagv import Graph, Letter, new_graph
+from raagv import (
+    CommutingPartition,
+    Graph,
+    GreedyRun,
+    InternalEdge,
+    Letter,
+    MissingCrossEdge,
+    WrongP0,
+    complement,
+    connected_components,
+    eccentricity,
+    is_clique,
+    new_graph,
+)
 
 
 def empty_graph(n: int) -> Graph:
@@ -109,6 +123,75 @@ def predicted_canonical_family(
         else:
             kept.append(part)
     return frozenset(absorbed), frozenset(kept)
+
+
+# ------------------------------------------------------ reference deciders
+#
+# The package's first implementations of the mask-based deciders, kept to
+# pin the fast versions to their definitions: eccentricity-one vertices by
+# breadth-first search, the partition from complement components, and the
+# validator's ordered pair scan.
+
+
+@cache  # the reference recognizer, validator and greedy run each ask for it
+def reference_universal_vertices(g: Graph) -> frozenset[int]:
+    if g.n <= 1:
+        return frozenset()
+    return frozenset(v for v in range(g.n) if eccentricity(g, v) == 1)
+
+
+def reference_recognize_multipartite(g: Graph) -> CommutingPartition | None:
+    co = complement(g)
+    comps = connected_components(co)
+    for comp in comps:
+        if not is_clique(co, comp):
+            return None
+    uni = reference_universal_vertices(g)
+    p0 = []
+    parts = []
+    for comp in comps:
+        if len(comp) == 1 and comp[0] in uni:
+            p0.append(comp[0])
+        else:
+            parts.append(frozenset(comp))
+    return CommutingPartition(frozenset(p0), tuple(parts))
+
+
+def reference_validate_partition(g: Graph, p: CommutingPartition):
+    """First violation in the documented order; assumes the blocks already
+    partition the vertex set."""
+    blocks = p.blocks()
+    ecc_one = reference_universal_vertices(g)
+    for v in range(g.n):
+        if (v in p.p0) != (v in ecc_one):
+            return WrongP0(v, should_be_in_p0=v in ecc_one)
+    for k, part in enumerate(p.parts, start=1):
+        verts = sorted(part)
+        for i, u in enumerate(verts):
+            for v in verts[i + 1 :]:
+                if g.has_edge(u, v):
+                    return InternalEdge(u, v, k)
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            for u in sorted(blocks[i]):
+                for v in sorted(blocks[j]):
+                    if not g.has_edge(u, v):
+                        return MissingCrossEdge(u, v, (i, j))
+    return None
+
+
+def reference_run_greedy(g: Graph, pivot_rule) -> GreedyRun:
+    p0 = reference_universal_vertices(g)
+    remaining = set(range(g.n)) - p0
+    parts = []
+    pivots = []
+    while remaining:
+        w = pivot_rule(tuple(sorted(remaining)))
+        part = frozenset(v for v in remaining if not g.has_edge(w, v))
+        parts.append(part)
+        pivots.append(w)
+        remaining -= part
+    return GreedyRun(p0, tuple(parts), tuple(pivots))
 
 
 def random_word(rng: random.Random, n: int, length: int) -> tuple[Letter, ...]:

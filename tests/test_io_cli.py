@@ -15,6 +15,7 @@ from raagv import (
     parse_graph6,
 )
 from raagv.cli import main
+from raagv.graphio import MAX_VERTICES
 from raagv.harness import enumerate_graphs, random_graph
 from raagv.partition import CommutingPartition
 
@@ -45,6 +46,28 @@ def test_parse_numeric_out_of_range_treated_as_labels():
     g, labels = parse_edge_list("n 2\ne 5 7\n")
     assert labels.labels == ("5", "7")
     assert g == new_graph(2, [(0, 1)])
+
+
+@pytest.mark.parametrize("token", ["+1", "01", "1_0"])
+def test_parse_non_canonical_numbers_are_labels(token):
+    # int() accepts each token, but none is the vertex number str() writes,
+    # so the line goes through label assignment instead of crashing
+    g, labels = parse_edge_list(f"n 12\ne {token} 2\n")
+    assert labels.labels[:2] == (token, "2")
+    assert g == new_graph(12, [(0, 1)])
+
+
+def test_parse_plus_one_on_small_graph():
+    g, labels = parse_edge_list("n 3\ne +1 2\n")
+    assert labels.labels == ("+1", "2", "_2")
+    assert g == new_graph(3, [(0, 1)])
+
+
+def test_parse_vertex_count_limit():
+    g, labels = parse_edge_list(f"n {MAX_VERTICES}\ne 0 1\n")
+    assert g.n == MAX_VERTICES and g.edge_count() == 1
+    with pytest.raises(ParseError, match="line 2: vertex count .* exceeds the limit"):
+        parse_edge_list(f"# big\nn {MAX_VERTICES + 1}\n")
 
 
 def test_parse_isolated_vertices_get_default_labels():
@@ -332,3 +355,20 @@ def test_cli_malformed_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.el"
     path.write_text("m 3\n")
     assert main(["classify", str(path)]) == 2
+
+
+@pytest.mark.parametrize("text", ["n 3\ne +1 2\n", "n 12\ne 01 2\n"])
+def test_cli_non_canonical_numbers_classify(tmp_path, capsys, text):
+    f = tmp_path / "g.el"
+    f.write_text(text)
+    assert main(["classify", str(f)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("embeddable: no\nwitness: edge (")
+
+
+def test_cli_hostile_header_exits_2(tmp_path, capsys):
+    f = tmp_path / "huge.el"
+    f.write_text("n 1000000000\ne 0 1\n")
+    assert main(["classify", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line 1: vertex count 1000000000 exceeds the limit of {MAX_VERTICES}\n"
