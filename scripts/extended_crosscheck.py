@@ -1,10 +1,10 @@
 """Exhaustively compare the three embeddability deciders beyond the test range.
 
-The test suite sweeps n <= 6.  This script goes further and prints a
-per-size table of graph counts, pattern-free counts, and any decider
-mismatches.  On one core of a 2-vCPU KVM guest with Python 3.11, n = 6 took
-1.2-1.5 s and n = 7 (2,097,152 graphs) 71-79 s in two runs; n = 8 has 128
-times as many graphs and is an overnight job.
+The default test run sweeps n <= 6, and ``pytest -m slow`` adds n = 7.
+This script prints a per-size table of graph counts, pattern-free counts,
+and any decider mismatches.  On one core of a 2-vCPU KVM guest with
+Python 3.11, n = 6 took 1.2-1.5 s and n = 7 (2,097,152 graphs) 67 s; n = 8
+has 128 times as many graphs and is an overnight job.
 
 Usage:
     python scripts/extended_crosscheck.py --max-n 7

@@ -21,10 +21,7 @@ from .graphio import (
 )
 from .graphs import (
     Graph,
-    complement,
-    connected_components,
     eccentricity,
-    is_clique,
     new_graph,
     universal_vertices,
 )
@@ -103,8 +100,6 @@ __all__ = [
     "WrongP0",
     "canonical_form",
     "canonical_partition",
-    "complement",
-    "connected_components",
     "cross_check",
     "decompose",
     "eccentricity",
@@ -122,7 +117,6 @@ __all__ = [
     "graph_from_family",
     "greedy_partition",
     "inverse",
-    "is_clique",
     "is_nb",
     "is_trivial",
     "min_pivot",

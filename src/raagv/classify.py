@@ -49,16 +49,21 @@ class ForbiddenTriple:
 def find_forbidden_triple(g: Graph) -> ForbiddenTriple | None:
     """The least witness triple, or None when the graph has none.
 
-    Scans edge pairs (a, b) in lexicographic order and candidate third
+    Scans edges (a, b) row by row in lexicographic order and candidate third
     vertices ascending, which makes the result the lexicographically least
-    valid (a, b, c) and therefore deterministic.
+    valid (a, b, c) and therefore deterministic.  A row with no
+    non-neighbour belongs to a universal vertex, which is in no witness.
     """
     full = (1 << g.n) - 1
-    for a, b in g.edges():
-        blocked = g.adj[a] | g.adj[b] | 1 << a | 1 << b
-        free = full & ~blocked
-        if free:
-            return ForbiddenTriple(a, b, _low(free))
+    adj = g.adj
+    for a, row in enumerate(adj):
+        outside = full & ~row & ~(1 << a)
+        if not outside:
+            continue
+        for b in _bits(row >> a + 1 << a + 1):
+            free = outside & ~adj[b]  # b, a neighbour of a, is not outside
+            if free:
+                return ForbiddenTriple(a, b, _low(free))
     return None
 
 

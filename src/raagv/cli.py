@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from .graphio import LabelMap, emit_edge_list, parse_edge_list, parse_graph6
@@ -201,6 +202,7 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@cache  # built once per process; parse_args returns a fresh namespace each call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="raagv",

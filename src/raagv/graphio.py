@@ -7,13 +7,20 @@ when every label is a vertex number ``0``..``n-1`` written the way
 ``str`` writes it, it is used as the vertex index directly, otherwise labels
 get indices in order of first appearance.  The count may not exceed
 ``MAX_VERTICES``.
+
+``parse_edge_list`` reads the header, then makes one pass over the body that
+ORs each edge into the adjacency masks.  Only a token that is not a default
+label sends it back over the body once more, to number the labels.  Errors
+follow a fixed precedence, whichever route is taken: the first syntax error
+in line order, then a label beyond the ``n``-th distinct one, then the first
+loop edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, new_graph
+from .graphs import Graph, _bits
 from .partition import CommutingPartition
 
 
@@ -36,7 +43,7 @@ class LabelMap:
 
     def __post_init__(self) -> None:
         for s in self.labels:
-            if not s or any(ch.isspace() for ch in s):
+            if s.split() != [s]:
                 raise ValueError(f"label {s!r} is empty or contains whitespace")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
@@ -54,49 +61,90 @@ class LabelMap:
 
 def parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
     """Parse the edge-list dialect; see the module docstring for the rules."""
-    n: int | None = None
-    raw_edges: list[tuple[str, str, int]] = []  # (label u, label v, line number)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = text.splitlines()
+    n, start = _header(lines)
+    index = {str(v): v for v in range(n)}
+    adj = [0] * n
+    loop = None  # (line number, label) of the first loop edge
+    for lineno, tokens in enumerate(_tokens(text, lines, start), start + 1):
+        if len(tokens) != 3 or tokens[0] != "e":
+            if tokens:
+                raise _syntax_error(tokens, lineno)
             continue
-        tokens = line.split()
-        if n is None:
-            if tokens[0] != "n":
-                raise ParseError(f"line {lineno}: expected header 'n <count>', got {raw.strip()!r}")
-            if len(tokens) != 2:
-                raise ParseError(f"line {lineno}: header must be exactly 'n <count>'")
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: vertex count {tokens[1]!r} is not an integer") from None
-            if n < 0:
-                raise ParseError(f"line {lineno}: vertex count must be nonnegative")
-            if n > MAX_VERTICES:
-                raise ParseError(f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
-            continue
-        if tokens[0] == "n":
-            raise ParseError(f"line {lineno}: duplicate 'n' header")
-        if tokens[0] != "e":
-            raise ParseError(f"line {lineno}: unknown directive {tokens[0]!r}")
-        if len(tokens) != 3:
-            raise ParseError(f"line {lineno}: edge line must be exactly 'e <u> <v>'")
-        raw_edges.append((tokens[1], tokens[2], lineno))
-    if n is None:
-        raise ParseError("line 1: missing 'n <count>' header")
+        try:
+            u = index[tokens[1]]
+            v = index[tokens[2]]
+        except KeyError:
+            return _parse_labelled(text, lines, n, start)
+        if u == v and loop is None:
+            loop = (lineno, tokens[1])
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    if loop is not None:
+        raise ParseError(f"line {loop[0]}: loop edge on {loop[1]!r}")
+    return Graph(n, tuple(adj)), LabelMap(tuple(index))
 
-    labels = LabelMap.default(n)
+
+def _header(lines: list[str]) -> tuple[int, int]:
+    """The vertex count and the index of the line that declares it."""
+    for i, raw in enumerate(lines):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        lineno = i + 1
+        if tokens[0] != "n":
+            raise ParseError(f"line {lineno}: expected header 'n <count>', got {raw.strip()!r}")
+        if len(tokens) != 2:
+            raise ParseError(f"line {lineno}: header must be exactly 'n <count>'")
+        try:
+            n = int(tokens[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: vertex count {tokens[1]!r} is not an integer") from None
+        if n < 0:
+            raise ParseError(f"line {lineno}: vertex count must be nonnegative")
+        if n > MAX_VERTICES:
+            raise ParseError(f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
+        return n, lineno
+    raise ParseError("line 1: missing 'n <count>' header")
+
+
+def _tokens(text: str, lines: list[str], start: int):
+    """The tokens of each line after ``lines[:start]``, comments removed."""
+    body = lines[start:]
+    if "#" in text:
+        return (raw.split("#", 1)[0].split() for raw in body)
+    return map(str.split, body)
+
+
+def _syntax_error(tokens: list[str], lineno: int) -> ParseError:
+    """The error for a nonempty body line that is not ``e <u> <v>``."""
+    if tokens[0] == "n":
+        return ParseError(f"line {lineno}: duplicate 'n' header")
+    if tokens[0] != "e":
+        return ParseError(f"line {lineno}: unknown directive {tokens[0]!r}")
+    return ParseError(f"line {lineno}: edge line must be exactly 'e <u> <v>'")
+
+
+def _parse_labelled(text: str, lines: list[str], n: int, start: int) -> tuple[Graph, LabelMap]:
+    """The label path: a token that is not a default label was met, so the
+    body is read again with labels indexed in order of first appearance."""
+    raw_edges = []  # (label u, label v, line number)
+    for lineno, tokens in enumerate(_tokens(text, lines, start), start + 1):
+        if len(tokens) != 3 or tokens[0] != "e":
+            if tokens:
+                raise _syntax_error(tokens, lineno)
+            continue
+        raw_edges.append((tokens[1], tokens[2], lineno))
+    labels = _assign_labels(n, raw_edges)
     index = {lab: i for i, lab in enumerate(labels.labels)}
-    if not all(lu in index and lv in index for lu, lv, _ in raw_edges):
-        labels = _assign_labels(n, raw_edges)
-        index = {lab: i for i, lab in enumerate(labels.labels)}
-    edges = []
+    adj = [0] * n
     for lu, lv, lineno in raw_edges:
-        u, v = index[lu], index[lv]
-        if u == v:
+        if lu == lv:
             raise ParseError(f"line {lineno}: loop edge on {lu!r}")
-        edges.append((u, v))
-    return new_graph(n, edges), labels
+        u, v = index[lu], index[lv]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, tuple(adj)), labels
 
 
 def _assign_labels(n: int, raw_edges: list[tuple[str, str, int]]) -> LabelMap:
@@ -132,8 +180,11 @@ def emit_edge_list(g: Graph, labels: LabelMap | None = None) -> str:
         labels = LabelMap.default(g.n)
     if len(labels.labels) != g.n:
         raise ValueError("label map size does not match the graph")
+    names = labels.labels
     lines = [f"n {g.n}"]
-    lines.extend(f"e {labels.label(u)} {labels.label(v)}" for u, v in g.edges())
+    for u, row in enumerate(g.adj):
+        head = f"e {names[u]} "
+        lines.extend([head + names[v] for v in _bits(row >> u + 1 << u + 1)])
     return "\n".join(lines) + "\n"
 
 

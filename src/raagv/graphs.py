@@ -127,48 +127,3 @@ def universal_vertices(g: Graph) -> frozenset[int]:
         return frozenset()
     full = (1 << g.n) - 1
     return frozenset(v for v, row in enumerate(g.adj) if row | 1 << v == full)
-
-
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n)))
-
-
-def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    """Vertex sets of the connected components, each sorted ascending, the
-    list ordered by minimum vertex."""
-    seen = 0
-    out = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= g.adj[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        out.append(_bits(comp))
-    return out
-
-
-def is_clique(g: Graph, s: Iterable[int]) -> bool:
-    """True when every two distinct vertices of s are adjacent.
-
-    Vacuously true for |s| <= 1.
-    """
-    verts = sorted(set(s))
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} is outside 0..{g.n - 1}")
-    mask = _mask(verts)
-    for v in verts:
-        if g.adj[v] & mask != mask & ~(1 << v):
-            return False
-    return True

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import ForbiddenTriple
-from .graphs import Graph
+from .graphs import Graph, _bits
 from .partition import (
     CommutingPartition,
     canonical_partition,
@@ -114,5 +114,8 @@ def emit_presentation(g: Graph) -> str:
     """Standard presentation text: generators x0..x{n-1}, one commutation
     relation per edge, edges in lexicographic order."""
     gens = ",".join(f"x{v}" for v in range(g.n))
-    rels = ",".join(f"x{u}x{v}=x{v}x{u}" for u, v in g.edges())
-    return f"⟨{gens} | {rels}⟩"
+    rels = []
+    for u, row in enumerate(g.adj):
+        xu = f"x{u}"
+        rels.extend([f"{xu}x{v}=x{v}{xu}" for v in _bits(row >> u + 1 << u + 1)])
+    return f"⟨{gens} | {','.join(rels)}⟩"

@@ -93,6 +93,11 @@ def validate_partition(g: Graph, p: CommutingPartition) -> Violation | None:
     Raises ValueError when the blocks are not a partition of g's vertex set
     (overlap or non-coverage); that is a malformed input, not a Violation.
     """
+    return _validate(g, p, universal_vertices(g))
+
+
+def _validate(g: Graph, p: CommutingPartition, ecc_one: frozenset[int]) -> Violation | None:
+    """:func:`validate_partition` against a known eccentricity-one set."""
     blocks = p.blocks()
     masks = []
     union = 0
@@ -109,7 +114,6 @@ def validate_partition(g: Graph, p: CommutingPartition) -> Violation | None:
     if union != full:
         raise ValueError("blocks do not cover the vertex set")
 
-    ecc_one = universal_vertices(g)
     if p.p0 != ecc_one:
         v = min(p.p0 ^ ecc_one)
         return WrongP0(v, should_be_in_p0=v in ecc_one)
@@ -201,7 +205,7 @@ def greedy_partition(
     """
     run = run_greedy(g, pivot_rule)
     candidate = CommutingPartition(run.p0, run.parts)
-    violation = validate_partition(g, candidate)
+    violation = _validate(g, candidate, run.p0)  # run.p0 is the universal set
     if violation is None:
         return CommutingPartition(run.p0, tuple(sorted(run.parts, key=min)))
 

@@ -11,22 +11,27 @@ import random
 from functools import cache
 from itertools import combinations
 
+from typing import Iterable
+
 from hypothesis import strategies as st
 
 from raagv import (
     CommutingPartition,
+    ForbiddenTriple,
     Graph,
     GreedyRun,
     InternalEdge,
+    LabelMap,
     Letter,
     MissingCrossEdge,
+    ParseError,
     WrongP0,
-    complement,
-    connected_components,
     eccentricity,
-    is_clique,
     new_graph,
+    recognize_multipartite,
 )
+from raagv.graphio import MAX_VERTICES, _assign_labels
+from raagv.graphs import _bits, _mask
 
 
 def empty_graph(n: int) -> Graph:
@@ -125,6 +130,56 @@ def predicted_canonical_family(
     return frozenset(absorbed), frozenset(kept)
 
 
+# ------------------------------------------------- complement structure
+#
+# Used only by the reference recognizer below, so they live with the tests.
+
+
+def complement(g: Graph) -> Graph:
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n)))
+
+
+def connected_components(g: Graph) -> list[tuple[int, ...]]:
+    """Vertex sets of the connected components, each sorted ascending, the
+    list ordered by minimum vertex."""
+    seen = 0
+    out = []
+    for v in range(g.n):
+        if seen >> v & 1:
+            continue
+        comp = 1 << v
+        frontier = comp
+        while frontier:
+            nxt = 0
+            m = frontier
+            while m:
+                low = m & -m
+                nxt |= g.adj[low.bit_length() - 1]
+                m ^= low
+            frontier = nxt & ~comp
+            comp |= frontier
+        seen |= comp
+        out.append(_bits(comp))
+    return out
+
+
+def is_clique(g: Graph, s: Iterable[int]) -> bool:
+    """True when every two distinct vertices of s are adjacent.
+
+    Vacuously true for |s| <= 1.
+    """
+    verts = sorted(set(s))
+    for v in verts:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} is outside 0..{g.n - 1}")
+    mask = _mask(verts)
+    for v in verts:
+        if g.adj[v] & mask != mask & ~(1 << v):
+            return False
+    return True
+
+
 # ------------------------------------------------------ reference deciders
 #
 # The package's first implementations of the mask-based deciders, kept to
@@ -192,6 +247,101 @@ def reference_run_greedy(g: Graph, pivot_rule) -> GreedyRun:
         pivots.append(w)
         remaining -= part
     return GreedyRun(p0, tuple(parts), tuple(pivots))
+
+
+# ------------------------------------------------------ perturbed graphs
+
+
+def toggled(g: Graph, u: int, v: int) -> Graph:
+    adj = list(g.adj)
+    adj[u] ^= 1 << v
+    adj[v] ^= 1 << u
+    return Graph(g.n, tuple(adj))
+
+
+def near_misses(g: Graph, rng: random.Random) -> list[Graph]:
+    """One edge added inside a part, one cross edge removed."""
+    p = recognize_multipartite(g)
+    u, v = rng.sample(sorted(rng.choice([b for b in p.parts if len(b) > 1])), 2)
+    a, b = rng.sample([sorted(b) for b in p.blocks() if b], 2)
+    return [toggled(g, u, v), toggled(g, rng.choice(a), rng.choice(b))]
+
+
+# ------------------------------------------------ reference read/write
+#
+# The edge-list parser, triple scan and edge-list writer as they were before
+# they became one pass over the lines and walks over adjacency rows: a raw
+# edge list validated by new_graph, and edges from the Graph.edges()
+# generator.  The label numbering (_assign_labels) is shared, unchanged.
+
+
+def reference_parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
+    n = None
+    raw_edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if n is None:
+            if tokens[0] != "n":
+                raise ParseError(f"line {lineno}: expected header 'n <count>', got {raw.strip()!r}")
+            if len(tokens) != 2:
+                raise ParseError(f"line {lineno}: header must be exactly 'n <count>'")
+            try:
+                n = int(tokens[1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: vertex count {tokens[1]!r} is not an integer") from None
+            if n < 0:
+                raise ParseError(f"line {lineno}: vertex count must be nonnegative")
+            if n > MAX_VERTICES:
+                raise ParseError(f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
+            continue
+        if tokens[0] == "n":
+            raise ParseError(f"line {lineno}: duplicate 'n' header")
+        if tokens[0] != "e":
+            raise ParseError(f"line {lineno}: unknown directive {tokens[0]!r}")
+        if len(tokens) != 3:
+            raise ParseError(f"line {lineno}: edge line must be exactly 'e <u> <v>'")
+        raw_edges.append((tokens[1], tokens[2], lineno))
+    if n is None:
+        raise ParseError("line 1: missing 'n <count>' header")
+
+    labels = LabelMap.default(n)
+    index = {lab: i for i, lab in enumerate(labels.labels)}
+    if not all(lu in index and lv in index for lu, lv, _ in raw_edges):
+        labels = _assign_labels(n, raw_edges)
+        index = {lab: i for i, lab in enumerate(labels.labels)}
+    edges = []
+    for lu, lv, lineno in raw_edges:
+        u, v = index[lu], index[lv]
+        if u == v:
+            raise ParseError(f"line {lineno}: loop edge on {lu!r}")
+        edges.append((u, v))
+    return new_graph(n, edges), labels
+
+
+def reference_find_forbidden_triple(g: Graph) -> ForbiddenTriple | None:
+    full = (1 << g.n) - 1
+    for a, b in g.edges():
+        free = full & ~(g.adj[a] | g.adj[b] | 1 << a | 1 << b)
+        if free:
+            return ForbiddenTriple(a, b, (free & -free).bit_length() - 1)
+    return None
+
+
+def reference_emit_edge_list(g: Graph, labels: LabelMap | None = None) -> str:
+    if labels is None:
+        labels = LabelMap.default(g.n)
+    lines = [f"n {g.n}"]
+    lines.extend(f"e {labels.label(u)} {labels.label(v)}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def reference_emit_presentation(g: Graph) -> str:
+    gens = ",".join(f"x{v}" for v in range(g.n))
+    rels = ",".join(f"x{u}x{v}=x{v}x{u}" for u, v in g.edges())
+    return f"⟨{gens} | {rels}⟩"
 
 
 def random_word(rng: random.Random, n: int, length: int) -> tuple[Letter, ...]:

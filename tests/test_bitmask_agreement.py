@@ -24,6 +24,7 @@ from raagv import (
 from raagv.harness import enumerate_graphs, random_graph, random_nb_graph
 
 from helpers import (
+    near_misses,
     reference_recognize_multipartite,
     reference_run_greedy,
     reference_universal_vertices,
@@ -79,21 +80,6 @@ def test_first_violation_on_every_block_structure_up_to_four_vertices():
                     for order in (parts, parts[::-1]):
                         p = CommutingPartition(p0, order)
                         assert validate_partition(g, p) == reference_validate_partition(g, p)
-
-
-def toggled(g: Graph, u: int, v: int) -> Graph:
-    adj = list(g.adj)
-    adj[u] ^= 1 << v
-    adj[v] ^= 1 << u
-    return Graph(g.n, tuple(adj))
-
-
-def near_misses(g: Graph, rng: random.Random) -> list[Graph]:
-    """One edge added inside a part, one cross edge removed."""
-    p = recognize_multipartite(g)
-    u, v = rng.sample(sorted(rng.choice([b for b in p.parts if len(b) > 1])), 2)
-    a, b = rng.sample([sorted(b) for b in p.blocks() if b], 2)
-    return [toggled(g, u, v), toggled(g, rng.choice(a), rng.choice(b))]
 
 
 @pytest.mark.parametrize("n", [200, 1000])

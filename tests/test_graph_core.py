@@ -3,20 +3,16 @@ import dataclasses
 import pytest
 from hypothesis import given
 
-from raagv import (
-    complement,
-    connected_components,
-    eccentricity,
-    is_clique,
-    new_graph,
-    universal_vertices,
-)
+from raagv import eccentricity, new_graph, universal_vertices
 
 from helpers import (
+    complement,
     complete_graph,
+    connected_components,
     cycle_graph,
     empty_graph,
     graphs,
+    is_clique,
     path_graph,
     slow_eccentricity,
 )

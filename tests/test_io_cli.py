@@ -260,6 +260,19 @@ def test_cli_classify_json_is_byte_stable(c4_file, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_cli_calls_share_no_parsed_options(c4_file, capsys):
+    # the argument parser is built once per process; each call must still
+    # start from the defaults, not from the options of the call before
+    assert main(["classify", c4_file, "--json"]) == 0
+    assert capsys.readouterr().out.startswith("{")
+    assert main(["classify", c4_file]) == 0
+    assert capsys.readouterr().out.startswith("embeddable: yes\n")
+    assert main(["random", "--n", "3", "--p", "1.0"]) == 0
+    assert main(["random", "--n", "3"]) == 0
+    full, default = capsys.readouterr().out.split("n 3\n")[1:]
+    assert full == "e 0 1\ne 0 2\ne 1 2\n" and default != full
+
+
 def test_cli_classify_uses_labels(obstruction_file, capsys):
     assert main(["classify", obstruction_file]) == 1
     out = capsys.readouterr().out
