@@ -22,16 +22,9 @@ from typing import Sequence
 
 from .graphio import LabelMap, emit_edge_list, parse_edge_list, parse_graph6
 from .graphs import Graph
-from .groups import (
-    Embeddable,
-    canonical_form,
-    decompose,
-    emit_presentation,
-    format_decomposition,
-    verdict,
-)
+from .groups import Embeddable, emit_presentation, format_decomposition, verdict
 from .harness import cross_check, random_graph, random_nb_graph
-from .partition import CommutingPartition, canonical_partition
+from .partition import CommutingPartition
 from .words import format_word, normal_form, parse_word
 
 
@@ -109,24 +102,24 @@ def _cmd_classify(args) -> int:
 
 def _cmd_partition(args) -> int:
     g, labels = _load_graph(args.file, args.format)
-    outcome = canonical_partition(g)
-    if isinstance(outcome, CommutingPartition):
-        for line in _fmt_partition(outcome, labels):
+    v = verdict(g)
+    if isinstance(v, Embeddable):
+        for line in _fmt_partition(v.partition, labels):
             print(line)
         return 0
-    print(_fmt_witness(outcome, labels))
+    print(_fmt_witness(v.witness, labels))
     return 1
 
 
 def _cmd_decompose(args) -> int:
     g, labels = _load_graph(args.file, args.format)
-    outcome = canonical_partition(g)
+    v = verdict(g)
     code = 0
-    if isinstance(outcome, CommutingPartition):
-        print(format_decomposition(canonical_form(decompose(outcome))))
+    if isinstance(v, Embeddable):
+        print(format_decomposition(v.group))
     else:
         print("not a direct product of free groups")
-        print(_fmt_witness(outcome, labels))
+        print(_fmt_witness(v.witness, labels))
         code = 1
     print(f"presentation: {emit_presentation(g)}")
     if not labels.is_default():
@@ -138,14 +131,12 @@ def _cmd_decompose(args) -> int:
 def _cmd_word(args) -> int:
     g, labels = _load_graph(args.file, args.format)
     w = parse_word(" ".join(args.word), g.n)
-    nf = normal_form(g, w)
+    nf = normal_form(g, w)  # raises ValueError when g has the pattern
     print("trivial" if nf.is_identity else "nontrivial")
     if nf.abelian_exponents:
         shown = " ".join(f"{labels.label(v)}:{e:+d}" for v, e in nf.abelian_exponents)
         print(f"p0 exponents: {shown}")
-    p = canonical_partition(g)
-    assert isinstance(p, CommutingPartition)  # normal_form would have raised
-    for part, pw in zip(p.parts, nf.part_words):
+    for part, pw in zip(verdict(g).partition.parts, nf.part_words):
         rendered = format_word(pw) if pw else "1"
         print(f"part {_fmt_set(part, labels)}: {rendered}")
     return 0

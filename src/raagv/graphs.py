@@ -27,12 +27,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return _bits(self.adj[v])
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield the edges (u, v) with u < v in lexicographic order."""
         for u in range(self.n):

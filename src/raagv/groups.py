@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 from .classify import ForbiddenTriple
 from .graphs import Graph, _bits
-from .partition import (
-    CommutingPartition,
-    canonical_partition,
-    greedy_partition,
-    validate_partition,
-)
+from .partition import CommutingPartition, canonical_partition
 
 
 @dataclass(frozen=True)
@@ -84,29 +79,16 @@ class NotEmbeddable:
 Verdict = Embeddable | NotEmbeddable
 
 
-def verdict(g: Graph, verify: bool = False) -> Verdict:
+def verdict(g: Graph) -> Verdict:
     """Decide whether the graph group of g embeds into Thompson's group V.
 
     Routes through the canonical partition; an Embeddable verdict carries the
     partition together with the canonical decomposition, a NotEmbeddable one
-    carries the least forbidden triple.  With ``verify=True`` the greedy
-    construction is run as well and must agree (slow path for the harness).
+    carries the least forbidden triple.
     """
     outcome = canonical_partition(g)
     if isinstance(outcome, CommutingPartition):
-        if verify:
-            other = greedy_partition(g)
-            if not isinstance(other, CommutingPartition):
-                raise AssertionError("greedy run disagrees with the recognizer")
-            if other.family() != outcome.family():
-                raise AssertionError("greedy and canonical partitions differ")
-            if validate_partition(g, outcome) is not None:
-                raise AssertionError("canonical partition failed validation")
         return Embeddable(outcome, canonical_form(decompose(outcome)))
-    if verify:
-        other = greedy_partition(g)
-        if isinstance(other, CommutingPartition):
-            raise AssertionError("greedy run disagrees with the recognizer")
     return NotEmbeddable(outcome)
 
 

@@ -17,7 +17,7 @@ from operator import or_
 from typing import Iterator
 
 from .classify import find_forbidden_triple, recognize_multipartite
-from .graphs import Graph, new_graph
+from .graphs import Graph, _mask, new_graph
 from .partition import CommutingPartition, greedy_partition
 
 MAX_ENUMERATION_N = 8
@@ -145,23 +145,25 @@ def graph_from_family(
 ) -> Graph:
     """The complete-multipartite-plus-universal graph realizing the blocks:
     p0 vertices are joined to everything, parts span no internal edge, and
-    all cross-block pairs are joined."""
-    owner: dict[int, int] = {}
-    for i, block in enumerate((p0, *parts)):
+    all cross-block pairs are joined.  Each row is one mask: everything but
+    the vertex itself for p0, everything outside the part for a part."""
+    seen = 0
+    for block in (p0, *parts):
         for v in block:
             if not 0 <= v < n:
                 raise ValueError(f"vertex {v} is outside 0..{n - 1}")
-            if v in owner:
+            if seen >> v & 1:
                 raise ValueError(f"vertex {v} appears in two blocks")
-            owner[v] = i
-    if len(owner) != n:
+            seen |= 1 << v
+    if seen.bit_count() != n:
         raise ValueError("blocks must cover all vertices")
-    edges = [
-        (u, v)
-        for u, v in combinations(range(n), 2)
-        if owner[u] != owner[v] or owner[u] == 0
-    ]
-    return new_graph(n, edges)
+    full = (1 << n) - 1
+    adj = [full ^ 1 << v for v in range(n)]
+    for part in parts:
+        row = full & ~_mask(part)
+        for v in part:
+            adj[v] = row
+    return Graph(n, tuple(adj))
 
 
 def random_nb_graph(n: int, seed: int) -> Graph:

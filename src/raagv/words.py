@@ -8,6 +8,7 @@ projection onto every part freely reduces to the empty word.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Collection, Iterable, NamedTuple
 
@@ -23,6 +24,8 @@ class Letter(NamedTuple):
 
 
 Word = tuple[Letter, ...]
+
+_SIGNED_INT = re.compile(r"[+-]?[0-9]+")
 
 
 def word(pairs: Iterable[tuple[int, int]]) -> Word:
@@ -115,10 +118,13 @@ def is_trivial(g: Graph, w: Word) -> bool:
 
 def parse_word(text: str, n: int) -> Word:
     """Parse the command-line word syntax: whitespace-separated signed
-    1-based generator numbers, e.g. ``"1 3 -1 -3"``.  Zero is forbidden."""
+    1-based generator numbers, e.g. ``"1 3 -1 -3"``, each an optional ASCII
+    sign and ASCII digits (not ``1_0``).  Zero is forbidden."""
     letters = []
     for token in text.split():
         try:
+            if not _SIGNED_INT.fullmatch(token):
+                raise ValueError
             k = int(token)
         except ValueError:
             raise ValueError(f"word token {token!r} is not a signed integer") from None

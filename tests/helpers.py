@@ -344,6 +344,29 @@ def reference_emit_presentation(g: Graph) -> str:
     return f"⟨{gens} | {rels}⟩"
 
 
+def reference_graph_from_family(
+    n: int, p0: frozenset[int], parts: tuple[frozenset[int], ...]
+) -> Graph:
+    """harness.graph_from_family as it was before it built rows from block
+    masks: an owner table, then every vertex pair through new_graph."""
+    owner: dict[int, int] = {}
+    for i, block in enumerate((p0, *parts)):
+        for v in block:
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} is outside 0..{n - 1}")
+            if v in owner:
+                raise ValueError(f"vertex {v} appears in two blocks")
+            owner[v] = i
+    if len(owner) != n:
+        raise ValueError("blocks must cover all vertices")
+    edges = [
+        (u, v)
+        for u, v in combinations(range(n), 2)
+        if owner[u] != owner[v] or owner[u] == 0
+    ]
+    return new_graph(n, edges)
+
+
 def random_word(rng: random.Random, n: int, length: int) -> tuple[Letter, ...]:
     return tuple(
         Letter(rng.randrange(n), rng.choice((1, -1))) for _ in range(length)

@@ -20,7 +20,12 @@ from raagv import (
     random_partition_family,
 )
 
-from helpers import brute_is_nb, complete_graph, predicted_canonical_family
+from helpers import (
+    brute_is_nb,
+    complete_graph,
+    predicted_canonical_family,
+    reference_graph_from_family,
+)
 
 
 def test_enumeration_counts():
@@ -108,12 +113,27 @@ def test_graph_from_family_all_universal_is_complete():
 
 
 def test_graph_from_family_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex 0 appears in two blocks"):
         graph_from_family(3, frozenset({0}), (frozenset({0, 1, 2}),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="blocks must cover all vertices"):
         graph_from_family(3, frozenset({0}), (frozenset({1}),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"vertex 5 is outside 0\.\.1"):
         graph_from_family(2, frozenset({0}), (frozenset({5}),))
+    # a negative vertex is rejected by the range check, before any shift
+    with pytest.raises(ValueError, match=r"vertex -1 is outside 0\.\.2"):
+        graph_from_family(3, frozenset({0}), (frozenset({1, -1}),))
+
+
+def test_graph_from_family_matches_pair_builder():
+    assert graph_from_family(0, frozenset(), ()) == reference_graph_from_family(
+        0, frozenset(), ()
+    )
+    for n in range(1, 61):
+        for seed in range(5):
+            p0, parts = random_partition_family(n, seed * 1000 + n)
+            assert graph_from_family(n, p0, parts) == reference_graph_from_family(
+                n, p0, parts
+            )
 
 
 def test_random_family_round_trips_through_canonical_partition():

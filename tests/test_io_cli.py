@@ -285,6 +285,23 @@ def test_cli_partition(c4_file, capsys):
     assert "P1 = {0, 2}" in out and "P2 = {1, 3}" in out
 
 
+def test_cli_partition_witness_golden(obstruction_file, capsys):
+    assert main(["partition", obstruction_file]) == 1
+    assert capsys.readouterr().out == (
+        "witness: edge (a, b), vertex 2 adjacent to neither\n"
+    )
+
+
+def test_cli_decompose_witness_golden(obstruction_file, capsys):
+    assert main(["decompose", obstruction_file]) == 1
+    assert capsys.readouterr().out == (
+        "not a direct product of free groups\n"
+        "witness: edge (a, b), vertex 2 adjacent to neither\n"
+        "presentation: ⟨x0,x1,x2 | x0x1=x1x0⟩\n"
+        "generators: x0=a x1=b x2=2\n"
+    )
+
+
 def test_cli_decompose(c4_file, capsys):
     assert main(["decompose", c4_file]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -312,6 +329,14 @@ def test_cli_word_on_obstruction_exits_2(obstruction_file, capsys):
 def test_cli_word_bad_token(c4_file, capsys):
     assert main(["word", c4_file, "0"]) == 2
     assert main(["word", c4_file, "9"]) == 2
+
+
+def test_cli_word_rejects_what_only_int_accepts(c4_file, capsys):
+    for token in ("1_0", "\u0663", "\uff13"):  # 10, Arabic-Indic 3, fullwidth 3
+        assert main(["word", c4_file, token]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: word token {token!r} is not a signed integer\n"
 
 
 def test_cli_graph6_format(tmp_path, capsys):

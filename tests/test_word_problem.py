@@ -131,6 +131,10 @@ def test_parse_word_rejections():
         parse_word("4", 3)
     with pytest.raises(ValueError):
         parse_word("x", 3)
+    # int() takes the first four of these; the word syntax takes none
+    for token in ("1_0", "\u0663", "+\u0663", "\uff11", "+-1", "--1", "1.0", "0x1"):
+        with pytest.raises(ValueError, match="is not a signed integer"):
+            parse_word(token, 12)
 
 
 def test_empty_word_is_trivial():
