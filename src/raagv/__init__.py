@@ -63,17 +63,15 @@ from .partition import (
     validate_partition,
 )
 from .words import (
+    GroupModel,
     Letter,
     NormalForm,
     Word,
     format_word,
-    free_reduce,
-    inverse,
+    group_model,
     is_trivial,
     normal_form,
     parse_word,
-    project,
-    word,
 )
 
 __version__ = "0.1.0"
@@ -85,6 +83,7 @@ __all__ = [
     "ForbiddenTriple",
     "Graph",
     "GreedyRun",
+    "GroupModel",
     "GroupDecomposition",
     "InternalEdge",
     "LabelMap",
@@ -111,12 +110,11 @@ __all__ = [
     "find_forbidden_triple",
     "format_decomposition",
     "format_word",
-    "free_reduce",
     "graph_code",
     "graph_from_code",
     "graph_from_family",
     "greedy_partition",
-    "inverse",
+    "group_model",
     "is_nb",
     "is_trivial",
     "min_pivot",
@@ -125,7 +123,6 @@ __all__ = [
     "parse_edge_list",
     "parse_graph6",
     "parse_word",
-    "project",
     "random_graph",
     "random_nb_graph",
     "random_partition_family",
@@ -135,5 +132,4 @@ __all__ = [
     "universal_vertices",
     "validate_partition",
     "verdict",
-    "word",
 ]

@@ -25,7 +25,7 @@ from .graphs import Graph
 from .groups import Embeddable, emit_presentation, format_decomposition, verdict
 from .harness import cross_check, random_graph, random_nb_graph
 from .partition import CommutingPartition
-from .words import format_word, normal_form, parse_word
+from .words import format_word, group_model, parse_word
 
 
 def _load_graph(path: str, fmt: str) -> tuple[Graph, LabelMap]:
@@ -131,12 +131,14 @@ def _cmd_decompose(args) -> int:
 def _cmd_word(args) -> int:
     g, labels = _load_graph(args.file, args.format)
     w = parse_word(" ".join(args.word), g.n)
-    nf = normal_form(g, w)  # raises ValueError when g has the pattern
+    v = verdict(g)
+    # group_model raises ValueError on the witness of a graph with the pattern
+    nf = group_model(v.partition if isinstance(v, Embeddable) else v.witness).normal_form(w)
     print("trivial" if nf.is_identity else "nontrivial")
     if nf.abelian_exponents:
         shown = " ".join(f"{labels.label(v)}:{e:+d}" for v, e in nf.abelian_exponents)
         print(f"p0 exponents: {shown}")
-    for part, pw in zip(verdict(g).partition.parts, nf.part_words):
+    for part, pw in zip(v.partition.parts, nf.part_words):
         rendered = format_word(pw) if pw else "1"
         print(f"part {_fmt_set(part, labels)}: {rendered}")
     return 0

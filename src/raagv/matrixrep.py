@@ -1,15 +1,17 @@
 """Independent word evaluator over exact integer matrices.
 
-Words are evaluated letter by letter in a faithful linear model of the
-direct-product group: a net exponent per p0 vertex and a running 2x2 integer
-matrix product per part.  A part of size r maps its j-th vertex (ascending,
-j = 0..r-1) to A^j B A^-j, where A = [[1,2],[0,1]] and B = [[1,0],[2,1]]
-generate a free group of rank two and their conjugates freely generate a
-free subgroup of any finite rank.  Entries stay exact in Python integers.
+Words are evaluated in a faithful linear model of the direct-product group:
+a net exponent per p0 vertex and a 2x2 integer matrix product per part.  A
+part maps its j-th vertex (ascending, from j = 0) to A^j B A^-j, where
+A = [[1,2],[0,1]] and B = [[1,0],[2,1]] generate a free group of rank two
+and their conjugates freely generate a free subgroup of any finite rank.
+The table from signed letters to matrices is filled in closed form:
+A^j B A^-j = [[1+4j, -8j^2], [2, 1-4j]], inverse [[1-4j, 8j^2], [-2, 1+4j]].
+One pass sorts the letters into a bucket per part; each bucket is then
+multiplied out left to right, every factor in full, in exact integers.
 
-Nothing here touches the projection/reduction machinery this module is used
-to cross-check; only the raw letters and the partition's block structure go
-in.
+Nothing here touches the free reduction of ``words`` that this module is
+used to cross-check; only the raw letters and the partition go in.
 """
 
 from __future__ import annotations
@@ -22,29 +24,6 @@ from .words import Word
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 IDENTITY: Matrix = ((1, 0), (0, 1))
-FREE_A: Matrix = ((1, 2), (0, 1))
-FREE_A_INV: Matrix = ((1, -2), (0, 1))
-FREE_B: Matrix = ((1, 0), (2, 1))
-FREE_B_INV: Matrix = ((1, 0), (-2, 1))
-
-
-def mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    (a, b), (c, d) = x
-    (e, f), (g, h) = y
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-def conjugated_generators(rank: int) -> list[tuple[Matrix, Matrix]]:
-    """(matrix, inverse) for the free generators A^j B A^-j, j = 0..rank-1."""
-    out = []
-    power, power_inv = IDENTITY, IDENTITY
-    for _ in range(rank):
-        gen = mat_mul(power, mat_mul(FREE_B, power_inv))
-        gen_inv = mat_mul(power, mat_mul(FREE_B_INV, power_inv))
-        out.append((gen, gen_inv))
-        power = mat_mul(power, FREE_A)
-        power_inv = mat_mul(FREE_A_INV, power_inv)
-    return out
 
 
 @dataclass(frozen=True)
@@ -63,23 +42,33 @@ class MatrixImage:
 
 def evaluate_word(p: CommutingPartition, w: Word) -> MatrixImage:
     """Evaluate the raw word in the linear model attached to the partition."""
-    exps = {v: 0 for v in p.p0}
-    table: dict[int, tuple[int, Matrix, Matrix]] = {}
-    for i, part in enumerate(p.parts):
-        gens = conjugated_generators(len(part))
-        for (gen, gen_inv), v in zip(gens, sorted(part)):
-            table[v] = (i, gen, gen_inv)
-    mats = [IDENTITY] * len(p.parts)
-    for vertex, sign in w:
-        if vertex in exps:
+    exps = dict.fromkeys(sorted(p.p0), 0)
+    # (vertex, sign) -> (the bucket of the vertex's part, generator entries a, b, c, d)
+    table: dict[tuple[int, int], tuple[list, tuple[int, ...]]] = {}
+    buckets: list[list[tuple[int, ...]]] = []
+    for part in p.parts:
+        bucket = []
+        buckets.append(bucket)
+        for j, v in enumerate(sorted(part)):
+            t, q = 4 * j, 8 * j * j
+            table[v, 1] = (bucket, (1 + t, -q, 2, 1 - t))
+            table[v, -1] = (bucket, (1 - t, q, -2, 1 + t))
+    for letter in w:
+        entry = table.get(letter)
+        if entry is not None:
+            entry[0].append(entry[1])
+            continue
+        vertex, sign = letter
+        if vertex in exps and sign in (1, -1):
             exps[vertex] += sign
-        elif vertex in table:
-            i, gen, gen_inv = table[vertex]
-            mats[i] = mat_mul(mats[i], gen if sign > 0 else gen_inv)
+        elif vertex in exps or any(vertex in part for part in p.parts):
+            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
         else:
             raise ValueError(f"letter vertex {vertex} is not covered by the partition")
-    return MatrixImage(tuple(sorted(exps.items())), tuple(mats))
-
-
-def matrix_is_trivial(p: CommutingPartition, w: Word) -> bool:
-    return evaluate_word(p, w).is_identity
+    mats = []
+    for bucket in buckets:
+        a, b, c, d = 1, 0, 0, 1
+        for e, f, g, h in bucket:
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        mats.append(((a, b), (c, d)))
+    return MatrixImage(tuple(exps.items()), tuple(mats))

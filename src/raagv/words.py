@@ -4,14 +4,19 @@ On a graph with a commuting partition the group is a direct product of a
 free-abelian factor (the p0 vertices) with one free factor per part, so a
 word is trivial exactly when its signed letter counts on p0 vanish and its
 projection onto every part freely reduces to the empty word.
+
+A :class:`GroupModel` reads both off in one pass over the word, with an
+owner table from vertex to part, one exponent counter per p0 vertex and one
+free-reduction stack per part: O(|w|) after an O(n) build.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Collection, Iterable, NamedTuple
+from typing import NamedTuple
 
+from .classify import ForbiddenTriple
 from .graphs import Graph
 from .partition import CommutingPartition, canonical_partition
 
@@ -26,41 +31,6 @@ class Letter(NamedTuple):
 Word = tuple[Letter, ...]
 
 _SIGNED_INT = re.compile(r"[+-]?[0-9]+")
-
-
-def word(pairs: Iterable[tuple[int, int]]) -> Word:
-    """Build a word from (vertex, sign) pairs, checking the signs."""
-    letters = []
-    for vertex, sign in pairs:
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
-        letters.append(Letter(vertex, sign))
-    return tuple(letters)
-
-
-def inverse(w: Word) -> Word:
-    return tuple(Letter(v, -s) for v, s in reversed(w))
-
-
-def project(w: Word, block: Collection[int]) -> Word:
-    """The subsequence of letters whose vertex lies in the block."""
-    members = block if isinstance(block, (set, frozenset)) else frozenset(block)
-    return tuple(letter for letter in w if letter.vertex in members)
-
-
-def free_reduce(w: Word) -> Word:
-    """Freely reduce by cancelling adjacent inverse pairs.
-
-    A single stack pass suffices: each popped pair exposes at most one new
-    cancellation, which the next letter's comparison picks up.
-    """
-    out: list[Letter] = []
-    for letter in w:
-        if out and out[-1].vertex == letter.vertex and out[-1].sign == -letter.sign:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -80,35 +50,74 @@ class NormalForm:
         return all(e == 0 for _, e in self.abelian_exponents) and not any(self.part_words)
 
 
-def _check_word(g: Graph, w: Word) -> None:
+@dataclass(frozen=True)
+class GroupModel:
+    """Z^|p0| x F_|P1| x ... x F_|Pk| of a commuting partition of 0..n-1.
+
+    ``owner[v]`` is the index of v's part in the partition's part order, or
+    -1 when v lies in p0; ``p0`` lists the p0 vertices ascending.
+    """
+
+    owner: tuple[int, ...]
+    p0: tuple[int, ...]
+    part_count: int
+
+    def normal_form(self, w: Word) -> NormalForm:
+        """Normal form of w; raises ValueError at the first letter that is no
+        generator of the model's graph or whose sign is not +1 or -1."""
+        owner = self.owner
+        _check_word(len(owner), w)
+        exps = dict.fromkeys(self.p0, 0)
+        stacks: list[list[Letter]] = [[] for _ in range(self.part_count)]
+        for letter in w:
+            v, s = letter
+            i = owner[v]
+            if i < 0:
+                exps[v] += s
+                continue
+            stack = stacks[i]
+            if stack:
+                top = stack[-1]
+                if top[0] == v and top[1] == -s:
+                    stack.pop()
+                    continue
+            stack.append(letter)
+        return NormalForm(tuple(exps.items()), tuple(map(tuple, stacks)))
+
+
+def _check_word(n: int, w: Word) -> None:
     for letter in w:
-        if not 0 <= letter.vertex < g.n:
-            raise ValueError(f"letter vertex {letter.vertex} is outside 0..{g.n - 1}")
+        if not 0 <= letter.vertex < n:
+            raise ValueError(f"letter vertex {letter.vertex} is outside 0..{n - 1}")
         if letter.sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {letter.sign}")
 
 
-def normal_form(g: Graph, w: Word) -> NormalForm:
-    """Normal form of w in the graph group of g.
-
-    Raises ValueError when g contains the forbidden pattern (the group is
-    then no direct product of free groups and this solver does not apply) or
-    when w uses letters outside g's generators.
-    """
-    _check_word(g, w)
-    p = canonical_partition(g)
-    if not isinstance(p, CommutingPartition):
+def group_model(outcome: CommutingPartition | ForbiddenTriple) -> GroupModel:
+    """The model of an outcome of :func:`canonical_partition`.  A forbidden
+    triple raises ValueError: the group is then no direct product of free
+    groups and this solver does not apply."""
+    if isinstance(outcome, ForbiddenTriple):
         raise ValueError(
             "word problem is only solved for graphs avoiding the forbidden "
-            f"pattern; found edge ({p.a}, {p.b}) with vertex {p.c} adjacent "
-            "to neither endpoint"
+            f"pattern; found edge ({outcome.a}, {outcome.b}) with vertex "
+            f"{outcome.c} adjacent to neither endpoint"
         )
-    exps = {v: 0 for v in p.p0}
-    for letter in w:
-        if letter.vertex in exps:
-            exps[letter.vertex] += letter.sign
-    part_words = tuple(free_reduce(project(w, part)) for part in p.parts)
-    return NormalForm(tuple(sorted(exps.items())), part_words)
+    owner = [-1] * (len(outcome.p0) + sum(map(len, outcome.parts)))
+    for i, part in enumerate(outcome.parts):
+        for v in part:
+            owner[v] = i
+    return GroupModel(tuple(owner), tuple(sorted(outcome.p0)), len(outcome.parts))
+
+
+def normal_form(g: Graph, w: Word) -> NormalForm:
+    """Normal form of w in the graph group of g.  Raises ValueError when w
+    uses letters outside g's generators, and otherwise when g contains the
+    forbidden pattern."""
+    outcome = canonical_partition(g)
+    if isinstance(outcome, ForbiddenTriple):
+        _check_word(g.n, w)  # a bad letter is reported before the pattern
+    return group_model(outcome).normal_form(w)
 
 
 def is_trivial(g: Graph, w: Word) -> bool:
@@ -122,18 +131,15 @@ def parse_word(text: str, n: int) -> Word:
     sign and ASCII digits (not ``1_0``).  Zero is forbidden."""
     letters = []
     for token in text.split():
-        try:
-            if not _SIGNED_INT.fullmatch(token):
-                raise ValueError
-            k = int(token)
-        except ValueError:
-            raise ValueError(f"word token {token!r} is not a signed integer") from None
-        if k == 0:
+        if not _SIGNED_INT.fullmatch(token):
+            raise ValueError(f"word token {token!r} is not a signed integer")
+        digits = token.lstrip("+-0")
+        if not digits:
             raise ValueError("word tokens are signed 1-based generator numbers; 0 is invalid")
-        vertex = abs(k) - 1
-        if vertex >= n:
-            raise ValueError(f"generator {abs(k)} exceeds the vertex count {n}")
-        letters.append(Letter(vertex, 1 if k > 0 else -1))
+        # the length test comes first: int() refuses over 4300 digits
+        if len(digits) > len(str(n)) or int(digits) > n:
+            raise ValueError(f"generator {digits} exceeds the vertex count {n}")
+        letters.append(Letter(int(digits) - 1, -1 if token[0] == "-" else 1))
     return tuple(letters)
 
 

@@ -11,7 +11,7 @@ import random
 from functools import cache
 from itertools import combinations
 
-from typing import Iterable
+from typing import Collection, Iterable
 
 from hypothesis import strategies as st
 
@@ -24,14 +24,18 @@ from raagv import (
     LabelMap,
     Letter,
     MissingCrossEdge,
+    NormalForm,
     ParseError,
+    Word,
     WrongP0,
+    canonical_partition,
     eccentricity,
     new_graph,
     recognize_multipartite,
 )
 from raagv.graphio import MAX_VERTICES, _assign_labels
 from raagv.graphs import _bits, _mask
+from raagv.matrixrep import IDENTITY, Matrix, MatrixImage, evaluate_word
 
 
 def empty_graph(n: int) -> Graph:
@@ -371,6 +375,114 @@ def random_word(rng: random.Random, n: int, length: int) -> tuple[Letter, ...]:
     return tuple(
         Letter(rng.randrange(n), rng.choice((1, -1))) for _ in range(length)
     )
+
+
+def word(pairs: Iterable[tuple[int, int]]) -> Word:
+    """Build a word from (vertex, sign) pairs, checking the signs."""
+    letters = []
+    for vertex, sign in pairs:
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        letters.append(Letter(vertex, sign))
+    return tuple(letters)
+
+
+def inverse(w: Word) -> Word:
+    return tuple(Letter(v, -s) for v, s in reversed(w))
+
+
+# ------------------------------------------------------ reference word path
+#
+# The package's first word solver and matrix oracle, kept to pin the
+# one-pass versions: a check pass, then one projection and free reduction
+# per part; and a generator table built by matrix products, applied one
+# function call per letter.
+
+
+def project(w: Word, block: Collection[int]) -> Word:
+    """The subsequence of letters whose vertex lies in the block."""
+    members = block if isinstance(block, (set, frozenset)) else frozenset(block)
+    return tuple(letter for letter in w if letter.vertex in members)
+
+
+def free_reduce(w: Word) -> Word:
+    """Freely reduce by cancelling adjacent inverse pairs, in one stack pass."""
+    out: list[Letter] = []
+    for letter in w:
+        if out and out[-1].vertex == letter.vertex and out[-1].sign == -letter.sign:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def reference_normal_form(g: Graph, w: Word) -> NormalForm:
+    for letter in w:
+        if not 0 <= letter.vertex < g.n:
+            raise ValueError(f"letter vertex {letter.vertex} is outside 0..{g.n - 1}")
+        if letter.sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {letter.sign}")
+    p = canonical_partition(g)
+    if not isinstance(p, CommutingPartition):
+        raise ValueError(
+            "word problem is only solved for graphs avoiding the forbidden "
+            f"pattern; found edge ({p.a}, {p.b}) with vertex {p.c} adjacent "
+            "to neither endpoint"
+        )
+    exps = {v: 0 for v in p.p0}
+    for letter in w:
+        if letter.vertex in exps:
+            exps[letter.vertex] += letter.sign
+    part_words = tuple(free_reduce(project(w, part)) for part in p.parts)
+    return NormalForm(tuple(sorted(exps.items())), part_words)
+
+
+FREE_A: Matrix = ((1, 2), (0, 1))
+FREE_A_INV: Matrix = ((1, -2), (0, 1))
+FREE_B: Matrix = ((1, 0), (2, 1))
+FREE_B_INV: Matrix = ((1, 0), (-2, 1))
+
+
+def mat_mul(x: Matrix, y: Matrix) -> Matrix:
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def conjugated_generators(rank: int) -> list[tuple[Matrix, Matrix]]:
+    """(matrix, inverse) for the free generators A^j B A^-j, j = 0..rank-1."""
+    out = []
+    power, power_inv = IDENTITY, IDENTITY
+    for _ in range(rank):
+        gen = mat_mul(power, mat_mul(FREE_B, power_inv))
+        gen_inv = mat_mul(power, mat_mul(FREE_B_INV, power_inv))
+        out.append((gen, gen_inv))
+        power = mat_mul(power, FREE_A)
+        power_inv = mat_mul(FREE_A_INV, power_inv)
+    return out
+
+
+def reference_evaluate_word(p: CommutingPartition, w: Word) -> MatrixImage:
+    exps = {v: 0 for v in p.p0}
+    table: dict[int, tuple[int, Matrix, Matrix]] = {}
+    for i, part in enumerate(p.parts):
+        gens = conjugated_generators(len(part))
+        for (gen, gen_inv), v in zip(gens, sorted(part)):
+            table[v] = (i, gen, gen_inv)
+    mats = [IDENTITY] * len(p.parts)
+    for vertex, sign in w:
+        if vertex in exps:
+            exps[vertex] += sign
+        elif vertex in table:
+            i, gen, gen_inv = table[vertex]
+            mats[i] = mat_mul(mats[i], gen if sign > 0 else gen_inv)
+        else:
+            raise ValueError(f"letter vertex {vertex} is not covered by the partition")
+    return MatrixImage(tuple(sorted(exps.items())), tuple(mats))
+
+
+def matrix_is_trivial(p: CommutingPartition, w: Word) -> bool:
+    return evaluate_word(p, w).is_identity
 
 
 # ------------------------------------------------------------- strategies

@@ -30,7 +30,6 @@ from raagv import (
     verdict,
 )
 from raagv.harness import enumerate_graphs, random_graph
-from raagv.matrixrep import matrix_is_trivial
 from raagv.partition import greedy_partition
 from raagv.words import is_trivial
 
@@ -40,6 +39,7 @@ from helpers import (
     empty_graph,
     forbidden_pattern_graph,
     induced_subgraph,
+    matrix_is_trivial,
     random_word,
 )
 

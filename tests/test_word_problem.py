@@ -8,30 +8,27 @@ from raagv import (
     Letter,
     canonical_partition,
     format_word,
-    free_reduce,
-    inverse,
     is_trivial,
     new_graph,
     normal_form,
     parse_word,
-    project,
-    word,
 )
 from raagv.harness import random_nb_graph
-from raagv.matrixrep import (
-    IDENTITY,
-    conjugated_generators,
-    evaluate_word,
-    mat_mul,
-    matrix_is_trivial,
-)
+from raagv.matrixrep import IDENTITY, evaluate_word
 
 from helpers import (
     abstract_words,
+    conjugated_generators,
     cycle_graph,
     forbidden_pattern_graph,
+    free_reduce,
+    inverse,
+    mat_mul,
+    matrix_is_trivial,
     path_graph,
+    project,
     random_word,
+    word,
 )
 
 
@@ -135,6 +132,17 @@ def test_parse_word_rejections():
     for token in ("1_0", "\u0663", "+\u0663", "\uff11", "+-1", "--1", "1.0", "0x1"):
         with pytest.raises(ValueError, match="is not a signed integer"):
             parse_word(token, 12)
+
+
+def test_parse_word_beyond_the_int_digit_limit():
+    # int() refuses strings of over 4300 digits; the length is judged first
+    for digits in ("9" * 4300, "9" * 4301):
+        with pytest.raises(ValueError, match=f"^generator {digits} exceeds the vertex count 3$"):
+            parse_word(digits, 3)
+    assert parse_word("-" + "0" * 5000 + "2", 3) == (Letter(1, -1),)
+    assert parse_word("+007 -0003", 7) == (Letter(6, 1), Letter(2, -1))
+    with pytest.raises(ValueError, match="0 is invalid"):
+        parse_word("-" + "0" * 5000, 3)
 
 
 def test_empty_word_is_trivial():
