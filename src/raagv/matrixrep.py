@@ -7,8 +7,8 @@ A = [[1,2],[0,1]] and B = [[1,0],[2,1]] generate a free group of rank two
 and their conjugates freely generate a free subgroup of any finite rank.
 The table from signed letters to matrices is filled in closed form:
 A^j B A^-j = [[1+4j, -8j^2], [2, 1-4j]], inverse [[1-4j, 8j^2], [-2, 1+4j]].
-One pass sorts the letters into a bucket per part; each bucket is then
-multiplied out left to right, every factor in full, in exact integers.
+One pass sorts the letters into a bucket per part, each multiplied as a
+balanced pairwise product tree: every factor in full, in exact integers.
 
 Nothing here touches the free reduction of ``words`` that this module is
 used to cross-check; only the raw letters and the partition go in.
@@ -17,6 +17,7 @@ used to cross-check; only the raw letters and the partition go in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .partition import CommutingPartition
 from .words import Word
@@ -66,9 +67,13 @@ def evaluate_word(p: CommutingPartition, w: Word) -> MatrixImage:
         else:
             raise ValueError(f"letter vertex {vertex} is not covered by the partition")
     mats = []
-    for bucket in buckets:
-        a, b, c, d = 1, 0, 0, 1
-        for e, f, g, h in bucket:
-            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    for ms in buckets:
+        while len(ms) > 1:  # adjacent pairs, in order; an odd tail pairs with the identity
+            it = iter(ms)
+            ms = [
+                (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                for (a, b, c, d), (e, f, g, h) in zip_longest(it, it, fillvalue=(1, 0, 0, 1))
+            ]
+        [(a, b, c, d)] = ms or [(1, 0, 0, 1)]
         mats.append(((a, b), (c, d)))
     return MatrixImage(tuple(exps.items()), tuple(mats))

@@ -65,12 +65,13 @@ class GroupModel:
     def normal_form(self, w: Word) -> NormalForm:
         """Normal form of w; raises ValueError at the first letter that is no
         generator of the model's graph or whose sign is not +1 or -1."""
-        owner = self.owner
-        _check_word(len(owner), w)
+        owner, n = self.owner, len(self.owner)
         exps = dict.fromkeys(self.p0, 0)
         stacks: list[list[Letter]] = [[] for _ in range(self.part_count)]
         for letter in w:
             v, s = letter
+            if not 0 <= v < n or (s != 1 and s != -1):
+                _check_word(n, (letter,))  # raises with the letter's error text
             i = owner[v]
             if i < 0:
                 exps[v] += s
@@ -86,11 +87,11 @@ class GroupModel:
 
 
 def _check_word(n: int, w: Word) -> None:
-    for letter in w:
-        if not 0 <= letter.vertex < n:
-            raise ValueError(f"letter vertex {letter.vertex} is outside 0..{n - 1}")
-        if letter.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {letter.sign}")
+    for v, s in w:
+        if not 0 <= v < n:
+            raise ValueError(f"letter vertex {v} is outside 0..{n - 1}")
+        if s not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {s}")
 
 
 def group_model(outcome: CommutingPartition | ForbiddenTriple) -> GroupModel:
@@ -132,15 +133,19 @@ def parse_word(text: str, n: int) -> Word:
     letters = []
     for token in text.split():
         if not _SIGNED_INT.fullmatch(token):
-            raise ValueError(f"word token {token!r} is not a signed integer")
+            raise ValueError(f"word token {_echo(token, repr)} is not a signed integer")
         digits = token.lstrip("+-0")
         if not digits:
             raise ValueError("word tokens are signed 1-based generator numbers; 0 is invalid")
         # the length test comes first: int() refuses over 4300 digits
         if len(digits) > len(str(n)) or int(digits) > n:
-            raise ValueError(f"generator {digits} exceeds the vertex count {n}")
+            raise ValueError(f"generator {_echo(digits)} exceeds the vertex count {n}")
         letters.append(Letter(int(digits) - 1, -1 if token[0] == "-" else 1))
     return tuple(letters)
+
+
+def _echo(text: str, form=str) -> str:  # error texts echo at most 32 characters
+    return form(text[:32]) + (f"... ({len(text)} characters)" if len(text) > 32 else "")
 
 
 def format_word(w: Word) -> str:

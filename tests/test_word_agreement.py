@@ -15,6 +15,7 @@ from raagv.harness import enumerate_graphs, random_nb_graph
 from raagv.matrixrep import evaluate_word
 
 from helpers import (
+    complete_graph,
     conjugated_generators,
     forbidden_pattern_graph,
     inverse,
@@ -81,6 +82,32 @@ def test_closed_form_generators_match_matrix_products():
         assert evaluate_word(p, (Letter(j, -1),)).part_matrices == (gen_inv,)
 
 
+def test_product_tree_on_every_bucket_length_up_to_seventeen():
+    # lengths 0 and 1 and every odd tail of the pairwise tree, on one part
+    rng = random.Random(17)
+    p = CommutingPartition(frozenset(), (frozenset({0, 1, 2}),))
+    for length in range(18):
+        for _ in range(3):
+            w = tuple(Letter(rng.randrange(3), rng.choice((1, -1))) for _ in range(length))
+            assert evaluate_word(p, w) == reference_evaluate_word(p, w)
+
+
+def test_product_tree_keeps_operand_order():
+    p = CommutingPartition(frozenset(), (frozenset({0, 1}),))
+    ab = (Letter(0, 1), Letter(1, 1))
+    ba = ab[::-1]
+    assert evaluate_word(p, ab) == reference_evaluate_word(p, ab)
+    assert evaluate_word(p, ba) == reference_evaluate_word(p, ba)
+    assert evaluate_word(p, ab) != evaluate_word(p, ba)
+
+
+def test_product_tree_on_a_long_word():
+    g = random_nb_graph(20, seed=1)
+    p = canonical_partition(g)
+    assert isinstance(p, CommutingPartition)
+    assert_agree(g, p, random_word(random.Random(40), 20, 40_000))
+
+
 def raised(f, *args) -> str:
     with pytest.raises(ValueError) as info:
         f(*args)
@@ -90,16 +117,24 @@ def raised(f, *args) -> str:
 def test_error_texts_and_precedence():
     bad = forbidden_pattern_graph()  # edge (0, 1), vertex 2 adjacent to neither
     good = random_nb_graph(6, seed=3)
-    for g in (bad, good):
+    p0_only = complete_graph(4)  # every vertex universal: no part
+    assert canonical_partition(p0_only).parts == ()
+    valid = random_word(random.Random(9), 3, 1_000)
+    for g in (bad, good, p0_only):
         for w in (
             (Letter(0, 1), Letter(7, 1)),
             (Letter(-1, 1),),
             (Letter(0, 2), Letter(9, 1)),
             (Letter(9, 1), Letter(0, 2)),
+            valid + (Letter(7, 1),),
+            valid + (Letter(1, 0), Letter(8, 1)),
+            valid + (Letter(-4, -1),),
+            (Letter(0, "1"),),  # ValueError, not TypeError
         ):
             text = raised(normal_form, g, w)
             assert text == raised(reference_normal_form, g, w)
             assert "pattern" not in text  # a bad letter is reported first
+            assert raised(normal_form, g, tuple(map(tuple, w))) == text  # plain pairs too
     text = raised(normal_form, bad, (Letter(2, -1),))
     assert text == raised(reference_normal_form, bad, (Letter(2, -1),))
     assert text.endswith("found edge (0, 1) with vertex 2 adjacent to neither endpoint")
