@@ -5,8 +5,8 @@ significant line is ``n <count>``, and every following line is
 ``e <u> <v>``.  Endpoint labels may be arbitrary whitespace-free tokens;
 when every label is a vertex number ``0``..``n-1`` written the way
 ``str`` writes it, it is used as the vertex index directly, otherwise labels
-get indices in order of first appearance.  The count may not exceed
-``MAX_VERTICES``.
+get indices in order of first appearance.  The count is an optional sign
+and ASCII digits, and may not exceed ``MAX_VERTICES``.
 
 ``parse_edge_list`` reads the header, then makes one pass over the body that
 ORs each edge into the adjacency masks.  Only a token that is not a default
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, _bits
 from .partition import CommutingPartition
+from .words import _SIGNED_INT, _echo
 
 
 # Largest vertex count an edge-list header may declare.  The count sizes the
@@ -96,15 +97,17 @@ def _header(lines: list[str]) -> tuple[int, int]:
             raise ParseError(f"line {lineno}: expected header 'n <count>', got {raw.strip()!r}")
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: header must be exactly 'n <count>'")
-        try:
-            n = int(tokens[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: vertex count {tokens[1]!r} is not an integer") from None
-        if n < 0:
+        count = tokens[1]
+        if not _SIGNED_INT.fullmatch(count):
+            raise ParseError(f"line {lineno}: vertex count {_echo(count, repr)} is not an integer")
+        digits = count.lstrip("+-0")
+        if digits and count[0] == "-":
             raise ParseError(f"line {lineno}: vertex count must be nonnegative")
-        if n > MAX_VERTICES:
-            raise ParseError(f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
-        return n, lineno
+        # the length test comes first: int() refuses over 4300 digits
+        if len(digits) > len(str(MAX_VERTICES)) or int(count) > MAX_VERTICES:
+            limit = f"exceeds the limit of {MAX_VERTICES}"
+            raise ParseError(f"line {lineno}: vertex count {_echo(digits)} {limit}")
+        return int(count), lineno
     raise ParseError("line 1: missing 'n <count>' header")
 
 

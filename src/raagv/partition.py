@@ -11,8 +11,9 @@ This module has the greedy construction (with pluggable pivot rules), the
 validator for the defining conditions, and the canonical partition from the
 twin-class recognizer.  All three work on adjacency masks: a part is valid
 exactly when each of its vertices is adjacent to everything outside it and
-nothing inside it, one mask compare per vertex.  Construction failures are
-converted into forbidden-triple witnesses.
+nothing inside it, one mask compare per vertex.  A failed greedy run is
+turned into a forbidden-triple witness through its pivot, never through
+another decider.
 """
 
 from __future__ import annotations
@@ -93,11 +94,6 @@ def validate_partition(g: Graph, p: CommutingPartition) -> Violation | None:
     Raises ValueError when the blocks are not a partition of g's vertex set
     (overlap or non-coverage); that is a malformed input, not a Violation.
     """
-    return _validate(g, p, universal_vertices(g))
-
-
-def _validate(g: Graph, p: CommutingPartition, ecc_one: frozenset[int]) -> Violation | None:
-    """:func:`validate_partition` against a known eccentricity-one set."""
     blocks = p.blocks()
     masks = []
     union = 0
@@ -110,22 +106,29 @@ def _validate(g: Graph, p: CommutingPartition, ecc_one: frozenset[int]) -> Viola
             raise ValueError("blocks overlap")
         union |= mask
         masks.append(mask)
-    full = (1 << g.n) - 1
-    if union != full:
+    if union != (1 << g.n) - 1:
         raise ValueError("blocks do not cover the vertex set")
 
+    ecc_one = universal_vertices(g)
     if p.p0 != ecc_one:
         v = min(p.p0 ^ ecc_one)
         return WrongP0(v, should_be_in_p0=v in ecc_one)
+    return _first_violation(g, blocks, masks)
 
-    # p0 now holds exactly the universal vertices, so the partition is valid
-    # iff every part vertex is adjacent to precisely the vertices outside its
-    # part.  Only a failure needs the ordered search that names it.
+
+def _first_violation(
+    g: Graph, blocks: Sequence[frozenset[int]], masks: list[int]
+) -> InternalEdge | MissingCrossEdge | None:
+    """The first internal or missing cross edge, in :func:`validate_partition`'s
+    order, of blocks (and their masks) that partition g, blocks[0] universal."""
+    # the blocks are valid iff every part vertex is adjacent to precisely the
+    # vertices outside its part; only a failure needs the ordered search
     adj = g.adj
-    if all(adj[v] == full & ~mask for part, mask in zip(p.parts, masks[1:]) for v in part):
+    full = (1 << g.n) - 1
+    if all(adj[v] == full & ~mask for part, mask in zip(blocks[1:], masks[1:]) for v in part):
         return None
 
-    for k, (part, mask) in enumerate(zip(p.parts, masks[1:]), start=1):
+    for k, (part, mask) in enumerate(zip(blocks[1:], masks[1:]), start=1):
         for u in sorted(part):
             # an edge to a lower vertex of the part would have been named first
             inside = adj[u] & mask
@@ -198,46 +201,25 @@ def greedy_partition(
 
     On graphs that admit a commuting partition every pivot rule reaches the
     same unordered block family; the returned partition lists parts sorted by
-    minimum vertex.  When validation of the constructed blocks fails, the
-    offending block is traced back to a forbidden triple: an edge inside a
-    part pairs with that part's pivot, and a missing cross edge pairs the
-    later block's vertex with the earlier part's pivot.
+    minimum vertex.  When the blocks fail, the first violation and the
+    pivot w of the part it names always make a forbidden triple.  w is
+    adjacent to no vertex of its part, and to every vertex of a later part,
+    which was still unassigned when w cut its part.  So an internal edge
+    (u, v) of w's part, with u < v since a lower partner would have been
+    named first, gives (u, v, w).  A missing cross edge from u in w's part to
+    v in a later one never starts in p0, which is exactly the universal set,
+    and u != w because w is adjacent to v; it gives (min(v, w), max(v, w), u).
+    A wrong p0 cannot occur.
     """
     run = run_greedy(g, pivot_rule)
-    candidate = CommutingPartition(run.p0, run.parts)
-    violation = _validate(g, candidate, run.p0)  # run.p0 is the universal set
+    blocks = (run.p0, *run.parts)
+    violation = _first_violation(g, blocks, [_mask(b) for b in blocks])
     if violation is None:
         return CommutingPartition(run.p0, tuple(sorted(run.parts, key=min)))
-
-    triple = _witness_from_violation(run, violation)
-    if triple is not None and triple.holds_in(g):
-        return triple
-    fallback = classify.find_forbidden_triple(g)
-    if fallback is None:
-        raise AssertionError("greedy construction failed on a triple-free graph")
-    return fallback
-
-
-def _witness_from_violation(run: GreedyRun, violation: Violation) -> ForbiddenTriple | None:
     if isinstance(violation, InternalEdge):
-        w = run.pivots[violation.part - 1]
-        u, v = violation.u, violation.v
-        if w in (u, v):
-            return None
-        # u, v both landed in w's part, so neither is adjacent to w
-        return classify.ForbiddenTriple(min(u, v), max(u, v), w)
-    if isinstance(violation, MissingCrossEdge):
-        i, j = violation.blocks
-        if i == 0:
-            return None  # p0 vertices are universal; cannot happen for greedy output
-        w = run.pivots[i - 1]
-        u, v = violation.u, violation.v
-        if u == w:
-            return None
-        # v stayed unassigned when w's part formed, so (v, w) is an edge,
-        # while u is adjacent to neither v nor its own pivot w
-        return classify.ForbiddenTriple(min(v, w), max(v, w), u)
-    return None
+        return classify.ForbiddenTriple(violation.u, violation.v, run.pivots[violation.part - 1])
+    u, v, w = violation.u, violation.v, run.pivots[violation.blocks[0] - 1]
+    return classify.ForbiddenTriple(min(v, w), max(v, w), u)
 
 
 def canonical_partition(g: Graph) -> CommutingPartition | ForbiddenTriple:

@@ -253,6 +253,41 @@ def reference_run_greedy(g: Graph, pivot_rule) -> GreedyRun:
     return GreedyRun(p0, tuple(parts), tuple(pivots))
 
 
+def reference_greedy_partition(g: Graph, pivot_rule) -> CommutingPartition | ForbiddenTriple:
+    """The greedy builder with its witness traced back through the pivot,
+    checked with holds_in, and the triple scan as a fallback."""
+    run = reference_run_greedy(g, pivot_rule)
+    violation = reference_validate_partition(g, CommutingPartition(run.p0, run.parts))
+    if violation is None:
+        return CommutingPartition(run.p0, tuple(sorted(run.parts, key=min)))
+    triple = _reference_witness(run, violation)
+    if triple is not None and triple.holds_in(g):
+        return triple
+    fallback = reference_find_forbidden_triple(g)
+    if fallback is None:
+        raise AssertionError("greedy construction failed on a triple-free graph")
+    return fallback
+
+
+def _reference_witness(run: GreedyRun, violation) -> ForbiddenTriple | None:
+    if isinstance(violation, InternalEdge):
+        w = run.pivots[violation.part - 1]
+        u, v = violation.u, violation.v
+        if w in (u, v):
+            return None
+        return ForbiddenTriple(min(u, v), max(u, v), w)
+    if isinstance(violation, MissingCrossEdge):
+        i, j = violation.blocks
+        if i == 0:
+            return None
+        w = run.pivots[i - 1]
+        u, v = violation.u, violation.v
+        if u == w:
+            return None
+        return ForbiddenTriple(min(v, w), max(v, w), u)
+    return None
+
+
 # ------------------------------------------------------ perturbed graphs
 
 

@@ -1,9 +1,9 @@
 """The mask-based deciders against the reference implementations in helpers.
 
 Agreement is exact: the same universal set, the same partition with the same
-part order, the same greedy run and the same first violation, on every graph
-with at most six vertices and on seeded large graphs on both sides of the
-class boundary.
+part order, the same greedy run, first violation and greedy witness, on every
+graph with at most six vertices and on seeded large graphs on both sides of
+the class boundary.
 """
 
 import random
@@ -14,6 +14,7 @@ import pytest
 from raagv import (
     CommutingPartition,
     Graph,
+    greedy_partition,
     min_pivot,
     recognize_multipartite,
     run_greedy,
@@ -25,6 +26,7 @@ from raagv.harness import enumerate_graphs, random_graph, random_nb_graph
 
 from helpers import (
     near_misses,
+    reference_greedy_partition,
     reference_recognize_multipartite,
     reference_run_greedy,
     reference_universal_vertices,
@@ -41,6 +43,7 @@ def assert_agree(g: Graph, make_pivot=lambda: min_pivot) -> None:
     assert run == reference_run_greedy(g, make_pivot())
     candidate = CommutingPartition(run.p0, run.parts)
     assert validate_partition(g, candidate) == reference_validate_partition(g, candidate)
+    assert greedy_partition(g, make_pivot()) == reference_greedy_partition(g, make_pivot())
 
 
 def test_agreement_on_every_graph_up_to_six_vertices():

@@ -410,3 +410,23 @@ def test_cli_hostile_header_exits_2(tmp_path, capsys):
     assert main(["classify", str(f)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: line 1: vertex count 1000000000 exceeds the limit of {MAX_VERTICES}\n"
+
+
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        ("1_0", "vertex count '1_0' is not an integer"),
+        ("٣", "vertex count '٣' is not an integer"),
+        ("9" * 5000, f"vertex count {'9' * 32}... (5000 characters) exceeds the limit of {MAX_VERTICES}"),
+    ],
+    ids=["underscore", "non-ascii-digit", "5000-digits"],
+)
+def test_header_count_is_ascii_digits_and_echoes_32_characters(tmp_path, capsys, count, message):
+    text = f"n {count}\n"
+    with pytest.raises(ParseError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == f"line 1: {message}"
+    f = tmp_path / "count.el"
+    f.write_text(text, encoding="utf-8")
+    assert main(["classify", str(f)]) == 2
+    assert capsys.readouterr() == ("", f"error: line 1: {message}\n")
