@@ -5,7 +5,8 @@ Subcommands:
 * ``classify <file>``: embeddability verdict; exit 0 embeddable, 1 not.
 * ``partition <file>``: commuting partition or witness triple.
 * ``decompose <file>``: canonical group text plus a presentation.
-* ``word <file> <w>``: triviality of a word (signed 1-based generators).
+* ``word <file> <w>``: triviality of a word (signed 1-based generators);
+  ``word <file> -`` reads one word per line from stdin.
 * ``enumerate --max-n <k>``: cross-check report for every order up to k.
 * ``random --n <n> [--p <p>] [--seed <s>] [--nb]``: emit a random graph.
 
@@ -128,19 +129,30 @@ def _cmd_decompose(args) -> int:
     return code
 
 
+def _stdin_words(n: int):
+    for i, line in enumerate(sys.stdin, start=1):
+        try:
+            yield parse_word(line, n)
+        except ValueError as exc:
+            raise ValueError(f"line {i}: {exc}") from None
+
+
 def _cmd_word(args) -> int:
     g, labels = _load_graph(args.file, args.format)
-    w = parse_word(" ".join(args.word), g.n)
+    # "-" alone: one word per line from stdin, read only once the model is built
+    ws = _stdin_words(g.n) if args.word == ["-"] else [parse_word(" ".join(args.word), g.n)]
     v = verdict(g)
     # group_model raises ValueError on the witness of a graph with the pattern
-    nf = group_model(v.partition if isinstance(v, Embeddable) else v.witness).normal_form(w)
-    print("trivial" if nf.is_identity else "nontrivial")
-    if nf.abelian_exponents:
-        shown = " ".join(f"{labels.label(v)}:{e:+d}" for v, e in nf.abelian_exponents)
-        print(f"p0 exponents: {shown}")
-    for part, pw in zip(v.partition.parts, nf.part_words):
-        rendered = format_word(pw) if pw else "1"
-        print(f"part {_fmt_set(part, labels)}: {rendered}")
+    model = group_model(v.partition if isinstance(v, Embeddable) else v.witness)
+    heads = [f"part {_fmt_set(part, labels)}: " for part in v.partition.parts]
+    for w in ws:
+        nf = model.normal_form(w)
+        print("trivial" if nf.is_identity else "nontrivial")
+        if nf.abelian_exponents:
+            shown = " ".join(f"{labels.label(v)}:{e:+d}" for v, e in nf.abelian_exponents)
+            print(f"p0 exponents: {shown}")
+        for head, pw in zip(heads, nf.part_words):
+            print(head + (format_word(pw) if pw else "1"))
     return 0
 
 
@@ -221,7 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "word",
         nargs="+",
-        help="signed 1-based generator numbers, e.g. '1 3 -1 -3'",
+        help="signed 1-based generator numbers, e.g. '1 3 -1 -3'; "
+        "'-' alone reads one word per line from stdin",
     )
     p.set_defaults(func=_cmd_word)
 

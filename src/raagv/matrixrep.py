@@ -7,6 +7,7 @@ A = [[1,2],[0,1]] and B = [[1,0],[2,1]] generate a free group of rank two
 and their conjugates freely generate a free subgroup of any finite rank.
 The table from signed letters to matrices is filled in closed form:
 A^j B A^-j = [[1+4j, -8j^2], [2, 1-4j]], inverse [[1-4j, 8j^2], [-2, 1+4j]].
+The table is built once per partition object and kept on that object.
 One pass sorts the letters into a bucket per part, each multiplied as a
 balanced pairwise product tree: every factor in full, in exact integers.
 
@@ -43,21 +44,21 @@ class MatrixImage:
 
 def evaluate_word(p: CommutingPartition, w: Word) -> MatrixImage:
     """Evaluate the raw word in the linear model attached to the partition."""
+    table = vars(p).get("_oracle_table")
+    if table is None:  # (vertex, sign) -> (part index, generator entries a, b, c, d)
+        table = {}
+        for i, part in enumerate(p.parts):
+            for j, v in enumerate(sorted(part)):
+                t, q = 4 * j, 8 * j * j
+                table[v, 1] = (i, (1 + t, -q, 2, 1 - t))
+                table[v, -1] = (i, (1 - t, q, -2, 1 + t))
+        vars(p)["_oracle_table"] = table
     exps = dict.fromkeys(sorted(p.p0), 0)
-    # (vertex, sign) -> (the bucket of the vertex's part, generator entries a, b, c, d)
-    table: dict[tuple[int, int], tuple[list, tuple[int, ...]]] = {}
-    buckets: list[list[tuple[int, ...]]] = []
-    for part in p.parts:
-        bucket = []
-        buckets.append(bucket)
-        for j, v in enumerate(sorted(part)):
-            t, q = 4 * j, 8 * j * j
-            table[v, 1] = (bucket, (1 + t, -q, 2, 1 - t))
-            table[v, -1] = (bucket, (1 - t, q, -2, 1 + t))
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in p.parts]
     for letter in w:
         entry = table.get(letter)
         if entry is not None:
-            entry[0].append(entry[1])
+            buckets[entry[0]].append(entry[1])
             continue
         vertex, sign = letter
         if vertex in exps and sign in (1, -1):

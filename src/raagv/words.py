@@ -8,6 +8,8 @@ projection onto every part freely reduces to the empty word.
 A :class:`GroupModel` reads both off in one pass over the word, with an
 owner table from vertex to part, one exponent counter per p0 vertex and one
 free-reduction stack per part: O(|w|) after an O(n) build.
+:func:`normal_form` compiles each graph object to its model (or forbidden
+triple) once and keeps it on that object, so it lives as long as the graph.
 """
 
 from __future__ import annotations
@@ -115,10 +117,16 @@ def normal_form(g: Graph, w: Word) -> NormalForm:
     """Normal form of w in the graph group of g.  Raises ValueError when w
     uses letters outside g's generators, and otherwise when g contains the
     forbidden pattern."""
-    outcome = canonical_partition(g)
-    if isinstance(outcome, ForbiddenTriple):
+    model = vars(g).get("_word_model")
+    if model is None:  # kept on the object: found without hashing g, freed with g
+        model = canonical_partition(g)
+        if isinstance(model, CommutingPartition):
+            model = group_model(model)
+        vars(g)["_word_model"] = model
+    if isinstance(model, ForbiddenTriple):
         _check_word(g.n, w)  # a bad letter is reported before the pattern
-    return group_model(outcome).normal_form(w)
+        group_model(model)  # raises ValueError naming the pattern
+    return model.normal_form(w)
 
 
 def is_trivial(g: Graph, w: Word) -> bool:

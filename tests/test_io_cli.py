@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -337,6 +338,39 @@ def test_cli_word_rejects_what_only_int_accepts(c4_file, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: word token {token!r} is not a signed integer\n"
+
+
+def test_cli_word_batch_prints_each_line_as_a_single_word_call(c4_file, capsys, monkeypatch):
+    lines = ["1 2 -1 -2", "", "1 3 -1 -3"]  # the empty line is the empty word
+    expected = ""
+    for line in lines:
+        assert main(["word", c4_file, line]) == 0
+        expected += capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    assert main(["word", c4_file, "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected and captured.err == ""
+    assert expected.count("trivial\n") == 3 and "part {0, 2}: 1 3 -1 -3\n" in expected
+
+
+def test_cli_word_batch_stops_at_the_first_bad_line(c4_file, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 -1\n1 x\n9\n"))
+    assert main(["word", c4_file, "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "trivial\npart {0, 2}: 1\npart {1, 3}: 1\n"
+    assert captured.err == "error: line 2: word token 'x' is not a signed integer\n"
+
+
+def test_cli_word_batch_on_obstruction_fails_before_reading(obstruction_file, capsys, monkeypatch):
+    assert main(["word", obstruction_file, "1"]) == 2
+    expected = capsys.readouterr()
+    stdin = io.StringIO("1\n")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["word", obstruction_file, "-"]) == 2
+    assert capsys.readouterr() == expected
+    assert stdin.tell() == 0
+    assert main(["word", obstruction_file, "1", "-"]) == 2  # "-" among others is a bad token
+    assert capsys.readouterr().err == "error: word token '-' is not a signed integer\n"
 
 
 def test_cli_graph6_format(tmp_path, capsys):

@@ -3,7 +3,9 @@ reference word path in helpers.
 
 Agreement is exact: equal ``NormalForm`` and ``MatrixImage`` values, and the
 same error text for the same bad input, on every pattern-free graph with at
-most five vertices and on seeded large graphs.
+most five vertices and on seeded large graphs.  Each word is checked twice,
+so that both the call that compiles a graph or partition and the calls that
+reuse the kept compile are compared with the uncached references.
 """
 
 import random
@@ -32,11 +34,12 @@ def cancelling_word(rng: random.Random, n: int, length: int, pool: int = 6) -> t
 
 
 def assert_agree(g, p: CommutingPartition, w) -> None:
-    nf = normal_form(g, w)
-    assert nf == reference_normal_form(g, w)
+    nf = reference_normal_form(g, w)
+    image = reference_evaluate_word(p, w)
+    for _ in range(2):  # cold on a graph or partition not seen before, then warm
+        assert normal_form(g, w) == nf
+        assert evaluate_word(p, w) == image
     assert group_model(p).normal_form(w) == nf
-    image = evaluate_word(p, w)
-    assert image == reference_evaluate_word(p, w)
     assert image.is_identity == nf.is_identity
 
 
@@ -133,6 +136,7 @@ def test_error_texts_and_precedence():
         ):
             text = raised(normal_form, g, w)
             assert text == raised(reference_normal_form, g, w)
+            assert raised(normal_form, g, w) == text  # warm
             assert "pattern" not in text  # a bad letter is reported first
             assert raised(normal_form, g, tuple(map(tuple, w))) == text  # plain pairs too
     text = raised(normal_form, bad, (Letter(2, -1),))
@@ -145,6 +149,7 @@ def test_oracle_errors():
     for w in ((Letter(5, 1),), (Letter(0, 1), Letter(1, -1), Letter(5, -1))):
         text = raised(evaluate_word, p, w)
         assert text == raised(reference_evaluate_word, p, w)
+        assert raised(evaluate_word, p, w) == text  # warm
         assert text == "letter vertex 5 is not covered by the partition"
     for w in ((Letter(0, 2),), (Letter(1, 0),)):
         assert raised(evaluate_word, p, w).startswith("letter sign must be +1 or -1")

@@ -1,10 +1,13 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 
 from raagv import (
     CommutingPartition,
+    Graph,
     Letter,
     canonical_partition,
     format_word,
@@ -13,6 +16,7 @@ from raagv import (
     normal_form,
     parse_word,
 )
+from raagv import words
 from raagv.harness import random_nb_graph
 from raagv.matrixrep import IDENTITY, evaluate_word
 
@@ -189,6 +193,68 @@ def test_commutators_by_adjacency():
             continue
         comm = word([(u, 1), (v, 1), (u, -1), (v, -1)])
         assert is_trivial(g, comm) == g.has_edge(u, v)
+
+
+# ------------------------------------- the compile kept on each graph object
+
+class _Unhashable(Graph):
+    def __hash__(self):
+        raise AssertionError("the compile is found by identity, not by hashing the graph")
+
+
+def test_each_graph_object_compiles_once(monkeypatch):
+    runs = []
+    monkeypatch.setattr(words, "canonical_partition", lambda g: runs.append(g) or canonical_partition(g))
+    g = random_nb_graph(30, seed=2401)
+    copy, twin = Graph(g.n, tuple(g.adj)), _Unhashable(g.n, tuple(g.adj))
+    assert copy == g and copy is not g and (twin.n, twin.adj) == (g.n, g.adj)
+    w = random_word(random.Random(2401), 30, 200)
+    first = normal_form(g, w)
+    assert normal_form(g, w) == first and is_trivial(g, w) == first.is_identity
+    for other in (copy, twin):
+        assert normal_form(other, w) == first and normal_form(other, w) == first
+    assert runs == [g, copy, twin] and [r is g for r in runs] == [True, False, False]  # one compile per object
+
+
+def test_pattern_error_is_the_same_cold_and_warm():
+    g = new_graph(6, [(1, 4), (2, 3), (2, 5), (3, 5)])  # edge (1, 4), vertex 0 adjacent to neither
+    texts = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            normal_form(g, W("1 2", n=6))
+        texts.append(str(info.value))
+        with pytest.raises(ValueError, match="outside 0..5"):
+            normal_form(g, (Letter(0, 1), Letter(6, 1)))  # a bad letter still wins
+        with pytest.raises(ValueError, match="sign must be"):
+            is_trivial(g, (Letter(0, 0),))
+    assert texts[0] == texts[1]
+    assert texts[0].endswith("found edge (1, 4) with vertex 0 adjacent to neither endpoint")
+
+
+def test_the_compiles_die_with_their_objects():
+    g = random_nb_graph(25, seed=2402)
+    p = canonical_partition(g)
+    w = random_word(random.Random(2402), 25, 50)
+    normal_form(g, w)
+    evaluate_word(p, w)
+    kept = vars(g)["_word_model"], vars(p)["_oracle_table"]
+    normal_form(g, w)
+    evaluate_word(p, w)
+    assert (vars(g)["_word_model"], vars(p)["_oracle_table"]) == kept
+    refs = weakref.ref(g), weakref.ref(p), weakref.ref(kept[0])
+    del g, p, kept
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+
+
+def test_oracle_table_keeps_each_part_order():
+    a, b = frozenset({0, 1}), frozenset({2, 3, 4})
+    p, q = CommutingPartition(frozenset(), (a, b)), CommutingPartition(frozenset(), (b, a))
+    assert p.family() == q.family() and p != q
+    w = W("2 3 -2 1 5 5", n=5)
+    for _ in range(2):  # cold, then warm
+        mp, mq = evaluate_word(p, w).part_matrices, evaluate_word(q, w).part_matrices
+        assert mp == mq[::-1] and mp[0] != mp[1]
 
 
 # ------------------------------------------------- matrix model internals
