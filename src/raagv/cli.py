@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import cache
 from typing import Sequence
 
@@ -30,12 +31,13 @@ from .words import format_word, group_model, parse_word
 
 
 def _load_graph(path: str, fmt: str) -> tuple[Graph, LabelMap]:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     if fmt == "graph6":
-        g = parse_graph6(text.strip())
+        # read as text mode and str.strip read ASCII: CR is a newline, space goes from the ends
+        with open(path, "rb") as fh:
+            g = parse_graph6(fh.read().replace(b"\r", b"\n").strip(b"\t\n\v\f\x1c\x1d\x1e\x1f "))
         return g, LabelMap.default(g.n)
-    return parse_edge_list(text)
+    with open(path, encoding="utf-8") as fh:
+        return parse_edge_list(fh.read())
 
 
 def _fmt_set(vertices, labels: LabelMap) -> str:
@@ -66,10 +68,7 @@ def _classify_json(v) -> str:
                 "p0": sorted(v.partition.p0),
                 "parts": [sorted(part) for part in v.partition.parts],
             },
-            "group": {
-                "abelian_rank": v.group.abelian_rank,
-                "free_ranks": list(v.group.free_ranks),
-            },
+            "group": asdict(v.group),
             "canonical": format_decomposition(v.group),
         }
     else:
@@ -159,25 +158,7 @@ def _cmd_word(args) -> int:
 def _cmd_enumerate(args) -> int:
     reports = [cross_check(n) for n in range(1, args.max_n + 1)]
     if args.json:
-        payload = [
-            {
-                "n": r.n,
-                "total_graphs": r.total_graphs,
-                "nb_count": r.nb_count,
-                "gp_count": r.gp_count,
-                "mismatches": [
-                    {
-                        "code": m.code,
-                        "triple_free": m.triple_free,
-                        "greedy_ok": m.greedy_ok,
-                        "multipartite_ok": m.multipartite_ok,
-                    }
-                    for m in r.mismatches
-                ],
-            }
-            for r in reports
-        ]
-        print(json.dumps(payload))
+        print(json.dumps([asdict(r) for r in reports]))
     else:
         print(f"{'n':>3} {'graphs':>10} {'pattern-free':>13} {'partitionable':>14} {'mismatches':>11}")
         for r in reports:

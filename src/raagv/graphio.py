@@ -1,4 +1,4 @@
-"""Graph serialization: edge-list text, graph6, and DOT output.
+"""Graph serialization: edge-list text, graph6 at every size, and DOT output.
 
 The edge-list dialect is line based: ``#`` starts a comment, the first
 significant line is ``n <count>``, and every following line is
@@ -18,6 +18,8 @@ loop edge.
 
 from __future__ import annotations
 
+import base64
+import re
 from dataclasses import dataclass
 
 from .graphs import Graph, _bits
@@ -25,9 +27,9 @@ from .partition import CommutingPartition
 from .words import _SIGNED_INT, _echo
 
 
-# Largest vertex count an edge-list header may declare.  The count sizes the
-# label table and the adjacency list before any edge is read, so an unchecked
-# header could ask for memory the input never justifies.
+# Largest vertex count an edge-list or graph6 header may declare.  The count
+# sizes the tables and the adjacency list before any edge is read, so an
+# unchecked header could ask for memory the input never justifies.
 MAX_VERTICES = 1 << 16
 
 
@@ -191,69 +193,67 @@ def emit_edge_list(g: Graph, labels: LabelMap | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-_G6_MAX_N = 62
+# graph6 (https://users.cecs.anu.edu.au/~bdm/data/formats.txt) is base64 in
+# the alphabet chr(63)..chr(126), taken in its own order.
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_FROM_G6 = bytes.maketrans(bytes(range(63, 127)), _B64)
 
 
 def emit_graph6(g: Graph) -> str:
-    """graph6 encoding, single-byte size form only (n <= 62).
-
-    Bits run over the upper triangle column by column, (0,1), (0,2), (1,2),
-    (0,3) and so on, packed big-endian into 6-bit groups offset by 63.
-    """
-    if g.n > _G6_MAX_N:
-        raise ValueError(f"graph6 support stops at n = {_G6_MAX_N}, got {g.n}")
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(g.has_edge(u, v))
-    out = [chr(g.n + 63)]
-    for i in range(0, len(bits), 6):
-        group = bits[i : i + 6]
-        group += [False] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = val << 1 | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    """graph6 of n <= ``MAX_VERTICES`` vertices: the size n + 63 for n <= 62,
+    else ``~`` and 18 bits, then the upper triangle column by column, (0,1),
+    (0,2), (1,2), (0,3) and so on, big-endian in 6-bit groups offset by 63."""
+    n = g.n
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph6 vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    # the size digits, then column v of the upper triangle: row v below the diagonal
+    bits = f"{n:0{6 if n < 63 else 18}b}"
+    bits += "".join(f"{row & (1 << v) - 1:0{v}b}"[::-1] for v, row in enumerate(g.adj) if v)
+    digits = -(-len(bits) // 6)
+    bits += "0" * (-len(bits) % 24)  # whole base64 quads
+    text = base64.b64encode(int(bits, 2).to_bytes(len(bits) // 8, "big")).translate(_TO_G6)
+    return "~" * (n > 62) + text[:digits].decode("ascii")
 
 
 def parse_graph6(data: str | bytes) -> Graph:
-    """Decode a graph6 string; strict inverse of :func:`emit_graph6`."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("ascii")
-        except UnicodeDecodeError:
-            raise ParseError("graph6 input is not ASCII") from None
+    """Decode a graph6 string; strict inverse of :func:`emit_graph6`.
+
+    Reads every size form, ``~~`` and six digits too, but accepts only the
+    shortest.  Checks the size and the body length before it allocates."""
+    if isinstance(data, bytes) and not data.isascii():
+        raise ParseError("graph6 input is not ASCII")
+    data = data.decode("ascii") if isinstance(data, bytes) else data
     if not data:
         raise ParseError("empty graph6 input")
-    codes = [ord(ch) for ch in data]
-    for ch in codes:
-        if not 63 <= ch <= 126:
-            raise ParseError(f"graph6 byte {ch} outside the printable range 63..126")
-    n = codes[0] - 63
-    if n > _G6_MAX_N:
-        raise ParseError("multi-byte graph6 size forms are not supported")
+    if bad := re.search("[^?-~]", data):
+        raise ParseError(f"graph6 byte {ord(bad[0])} outside the printable range 63..126")
+    form = data.startswith("~") + data.startswith("~~")
+    k, least = ((1, 0), (4, 63), (8, 63 << 12))[form]  # size bytes, least n for that form
+    if len(data) < k:
+        raise ParseError("graph6 size header is truncated")
+    n = int("".join(f"{ord(c) - 63:06b}" for c in data[form:k]), 2)
+    if n < least:
+        raise ParseError(f"graph6 size form of {k} bytes is longer than n = {n} needs")
+    if n > MAX_VERTICES:
+        raise ParseError(f"graph6 vertex count {n} exceeds the limit of {MAX_VERTICES}")
     npairs = n * (n - 1) // 2
     expected = (npairs + 5) // 6
-    if len(codes) - 1 != expected:
-        raise ParseError(
-            f"graph6 body has {len(codes) - 1} bytes where {expected} are required for n = {n}"
-        )
-    bits = []
-    for ch in codes[1:]:
-        val = ch - 63
-        bits.extend(val >> k & 1 for k in (5, 4, 3, 2, 1, 0))
-    if any(bits[npairs:]):
+    body = data[k:].encode()
+    if len(body) != expected:
+        have = f"graph6 body has {len(body)} bytes"
+        raise ParseError(f"{have} where {expected} are required for n = {n}")
+    pad = 6 * expected - npairs
+    x = int.from_bytes(base64.b64decode(b"A" * (-expected % 4) + body.translate(_FROM_G6)), "big")
+    if x & (1 << pad) - 1:
         raise ParseError("graph6 padding bits must be zero")
-    adj = [0] * n
-    i = 0
+    bits = f"{x >> pad:0{npairs}b}".encode()
+    m = bytearray(b"0") * (n * n)  # row v gets column v of the upper triangle
     for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            i += 1
-    return Graph(n, tuple(adj))
+        m[v * n : v * n + v] = bits[v * (v - 1) // 2 : v * (v + 1) // 2]
+    # row u of the graph is row u of m, then column u of m from the diagonal down
+    rows = (m[u * n : u * n + u] + m[u * n + u :: n] for u in range(n))
+    return Graph(n, tuple(int(row[::-1], 2) for row in rows))
 
 
 def emit_dot(

@@ -8,8 +8,8 @@ and their conjugates freely generate a free subgroup of any finite rank.
 The table from signed letters to matrices is filled in closed form:
 A^j B A^-j = [[1+4j, -8j^2], [2, 1-4j]], inverse [[1-4j, 8j^2], [-2, 1+4j]].
 The table is built once per partition object and kept on that object.
-One pass sorts the letters into a bucket per part, each multiplied as a
-balanced pairwise product tree: every factor in full, in exact integers.
+One pass buckets the letters by part; each bucket the word fills is multiplied
+as a balanced pairwise product tree: every factor in full, in exact integers.
 
 Nothing here touches the free reduction of ``words`` that this module is
 used to cross-check; only the raw letters and the partition go in.
@@ -17,6 +17,7 @@ used to cross-check; only the raw letters and the partition go in.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -54,7 +55,7 @@ def evaluate_word(p: CommutingPartition, w: Word) -> MatrixImage:
                 table[v, -1] = (i, (1 - t, q, -2, 1 + t))
         vars(p)["_oracle_table"] = table
     exps = dict.fromkeys(sorted(p.p0), 0)
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in p.parts]
+    buckets: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)  # parts the word meets
     for letter in w:
         entry = table.get(letter)
         if entry is not None:
@@ -67,14 +68,14 @@ def evaluate_word(p: CommutingPartition, w: Word) -> MatrixImage:
             raise ValueError(f"letter sign must be +1 or -1, got {sign}")
         else:
             raise ValueError(f"letter vertex {vertex} is not covered by the partition")
-    mats = []
-    for ms in buckets:
+    mats = [IDENTITY] * len(p.parts)
+    for i, ms in buckets.items():
         while len(ms) > 1:  # adjacent pairs, in order; an odd tail pairs with the identity
             it = iter(ms)
             ms = [
                 (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
                 for (a, b, c, d), (e, f, g, h) in zip_longest(it, it, fillvalue=(1, 0, 0, 1))
             ]
-        [(a, b, c, d)] = ms or [(1, 0, 0, 1)]
-        mats.append(((a, b), (c, d)))
+        [(a, b, c, d)] = ms
+        mats[i] = ((a, b), (c, d))
     return MatrixImage(tuple(exps.items()), tuple(mats))

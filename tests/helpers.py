@@ -377,6 +377,64 @@ def reference_emit_edge_list(g: Graph, labels: LabelMap | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The graph6 codec as it was before it became one base64 pass: per-bit loops
+# over the upper triangle, single-byte size form only (n <= 62).
+
+def reference_emit_graph6(g: Graph) -> str:
+    if g.n > 62:
+        raise ValueError(f"graph6 support stops at n = 62, got {g.n}")
+    bits = []
+    for v in range(1, g.n):
+        for u in range(v):
+            bits.append(g.has_edge(u, v))
+    out = [chr(g.n + 63)]
+    for i in range(0, len(bits), 6):
+        group = bits[i : i + 6]
+        group += [False] * (6 - len(group))
+        val = 0
+        for b in group:
+            val = val << 1 | b
+        out.append(chr(val + 63))
+    return "".join(out)
+
+
+def reference_parse_graph6(data: str | bytes) -> Graph:
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("ascii")
+        except UnicodeDecodeError:
+            raise ParseError("graph6 input is not ASCII") from None
+    if not data:
+        raise ParseError("empty graph6 input")
+    codes = [ord(ch) for ch in data]
+    for ch in codes:
+        if not 63 <= ch <= 126:
+            raise ParseError(f"graph6 byte {ch} outside the printable range 63..126")
+    n = codes[0] - 63
+    if n > 62:
+        raise ParseError("multi-byte graph6 size forms are not supported")
+    npairs = n * (n - 1) // 2
+    expected = (npairs + 5) // 6
+    if len(codes) - 1 != expected:
+        raise ParseError(
+            f"graph6 body has {len(codes) - 1} bytes where {expected} are required for n = {n}"
+        )
+    bits = []
+    for ch in codes[1:]:
+        bits.extend((ch - 63) >> k & 1 for k in (5, 4, 3, 2, 1, 0))
+    if any(bits[npairs:]):
+        raise ParseError("graph6 padding bits must be zero")
+    adj = [0] * n
+    i = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bits[i]:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            i += 1
+    return Graph(n, tuple(adj))
+
+
 def reference_emit_presentation(g: Graph) -> str:
     gens = ",".join(f"x{v}" for v in range(g.n))
     rels = ",".join(f"x{u}x{v}=x{v}x{u}" for u, v in g.edges())

@@ -1,11 +1,13 @@
 import io
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
 from raagv import (
+    Graph,
     LabelMap,
     ParseError,
     emit_dot,
@@ -17,10 +19,10 @@ from raagv import (
 )
 from raagv.cli import main
 from raagv.graphio import MAX_VERTICES
-from raagv.harness import enumerate_graphs, random_graph
+from raagv.harness import enumerate_graphs, random_graph, random_nb_graph
 from raagv.partition import CommutingPartition
 
-from helpers import cycle_graph, forbidden_pattern_graph, graphs
+from helpers import cycle_graph, forbidden_pattern_graph, graphs, near_misses
 
 
 # ------------------------------------------------------------- edge lists
@@ -156,9 +158,53 @@ def test_graph6_round_trip_random_larger():
         assert parse_graph6(emit_graph6(g)) == g
 
 
-def test_graph6_size_cap():
-    with pytest.raises(ValueError):
-        emit_graph6(new_graph(63, []))
+def size_digits(n: int, count: int) -> str:
+    """n as ``count`` big-endian 6-bit graph6 digits."""
+    return "".join(chr(63 + (n >> 6 * i & 63)) for i in reversed(range(count)))
+
+
+def test_graph6_size_boundaries():
+    # n = 62 is the last single-byte size, n = 63 the first `~` one
+    assert emit_graph6(new_graph(62, [])) == "}" + "?" * 316
+    assert emit_graph6(new_graph(63, [])) == "~??~" + "?" * 326
+    for n in (62, 63):
+        g = random_graph(n, 0.5, seed=n)
+        assert parse_graph6(emit_graph6(g)) == g
+    for text in ("~", "~?", "~??", "~~", "~~?", "~~?????"):
+        with pytest.raises(ParseError, match=r"^graph6 size header is truncated$"):
+            parse_graph6(text)
+    for text, k, n in [
+        ("~???", 4, 0),
+        ("~??}", 4, 62),
+        ("~~??????", 8, 0),
+        ("~~" + size_digits(258047, 6), 8, 258047),
+    ]:
+        with pytest.raises(ParseError, match=f"^graph6 size form of {k} bytes is longer than n = {n} needs$"):
+            parse_graph6(text)
+    limit = f"exceeds the limit of {MAX_VERTICES}"
+    with pytest.raises(ParseError, match=f"^graph6 vertex count 258048 {limit}$"):
+        parse_graph6("~~" + size_digits(258048, 6))
+    with pytest.raises(ValueError, match=f"^graph6 vertex count 65537 {limit}$"):
+        emit_graph6(Graph(65537, (0,) * 65537))
+
+
+def test_graph6_size_and_body_length_are_checked_before_allocation():
+    n = MAX_VERTICES
+    required = (n * (n - 1) // 2 + 5) // 6
+    cases = [
+        ("~" + size_digits(n + 1, 3), f"graph6 vertex count {n + 1} exceeds the limit of {n}"),
+        ("~" + size_digits(n, 3) + "?", f"graph6 body has 1 bytes where {required} are required for n = {n}"),
+    ]
+    for text, message in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                parse_graph6(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == message
+        assert peak < 64 * 1024  # a table of n entries alone would take 512 kB
 
 
 def test_graph6_parse_errors():
@@ -171,7 +217,7 @@ def test_graph6_parse_errors():
     with pytest.raises(ParseError):
         parse_graph6("A" + chr(20))  # byte below 63
     with pytest.raises(ParseError):
-        parse_graph6("~???")  # multi-byte size form
+        parse_graph6("~???")  # a longer size form than n = 0 needs
     with pytest.raises(ParseError):
         parse_graph6("B@")  # nonzero padding bits for n = 3
     with pytest.raises(ParseError):
@@ -378,6 +424,40 @@ def test_cli_graph6_format(tmp_path, capsys):
     path.write_text("Cl\n")
     assert main(["classify", str(path), "--format", "graph6"]) == 0
     assert "F_2 x F_2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("raw", [b"Cl\xff\n", "C\u00e9\n".encode()], ids=["not-utf8", "utf8"])
+def test_cli_non_ascii_graph6_file_exits_2(tmp_path, capsys, raw):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(raw)
+    assert main(["classify", str(path), "--format", "graph6"]) == 2
+    assert capsys.readouterr() == ("", "error: graph6 input is not ASCII\n")
+
+
+@pytest.mark.parametrize(
+    "raw, code, err",
+    [(b"\x1f Cl\r\n\x0c", 0, ""), (b"C\rl\n", 2, "error: graph6 byte 10 outside the printable range 63..126\n")],
+    ids=["ascii-space-at-the-ends", "inner-carriage-return"],
+)
+def test_cli_graph6_file_is_read_as_text(tmp_path, capsys, raw, code, err):
+    path = tmp_path / "c4.g6"
+    path.write_bytes(raw)
+    assert main(["classify", str(path), "--format", "graph6"]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_cli_classify_reads_graph6_and_edge_lists_alike(tmp_path, capsys):
+    member = random_nb_graph(300, seed=3)
+    near_miss = near_misses(member, random.Random(3))[0]
+    for g, code in ((member, 0), (near_miss, 1)):
+        (tmp_path / "g.el").write_text(emit_edge_list(g))
+        (tmp_path / "g.g6").write_text(emit_graph6(g) + "\n")
+        for extra in ([], ["--json"]):
+            assert main(["classify", str(tmp_path / "g.el"), *extra]) == code
+            from_edge_list = capsys.readouterr()
+            assert main(["classify", str(tmp_path / "g.g6"), "--format", "graph6", *extra]) == code
+            assert capsys.readouterr() == from_edge_list
+            assert from_edge_list.err == ""
 
 
 def test_cli_enumerate(capsys):

@@ -1,10 +1,13 @@
-"""The one-pass parser and the row walks against the references in helpers.
+"""The one-pass parser, the graph6 codec and the row walks against the
+references in helpers.
 
 ``parse_edge_list`` must return the same graph and labels as the two-pass
 reference, or raise ``ParseError`` with the same message, on fuzzed text.
-The triple scan, the edge-list writer and the presentation writer must give
-exactly the reference output on every graph with at most six vertices and on
-seeded large near misses.
+The graph6 codec must agree with the per-bit reference wherever that one
+works: n <= 62 and input that does not start with ``~``.  The triple scan,
+the edge-list writer and the presentation writer must give exactly the
+reference output on every graph with at most six vertices and on seeded
+large near misses.
 """
 
 import random
@@ -17,18 +20,22 @@ from raagv import (
     LabelMap,
     ParseError,
     emit_edge_list,
+    emit_graph6,
     emit_presentation,
     find_forbidden_triple,
     parse_edge_list,
+    parse_graph6,
 )
 from raagv.harness import enumerate_graphs, random_graph, random_nb_graph
 
 from helpers import (
     near_misses,
     reference_emit_edge_list,
+    reference_emit_graph6,
     reference_emit_presentation,
     reference_find_forbidden_triple,
     reference_parse_edge_list,
+    reference_parse_graph6,
 )
 
 
@@ -154,3 +161,109 @@ def test_large_round_trips_agree_with_reference():
         text = emit_edge_list(g, labels)
         assert text == reference_emit_edge_list(g, labels)
         assert parse_edge_list(text) == reference_parse_edge_list(text)
+
+
+# ----------------------------------------------------------------- graph6
+
+def g6_outcome(data):
+    """What both codecs say about ``data``: the graph or the error text."""
+    got = []
+    for parse in (parse_graph6, reference_parse_graph6):
+        try:
+            got.append(parse(data))
+        except ParseError as exc:
+            got.append(("error", str(exc)))
+    assert got[0] == got[1], data
+    return got[0]
+
+
+def test_graph6_agrees_with_reference_on_every_graph_up_to_six_vertices():
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            text = emit_graph6(g)
+            assert text == reference_emit_graph6(g)
+            assert g6_outcome(text) == g
+
+
+def test_graph6_agrees_with_reference_on_seeded_graphs_up_to_62_vertices():
+    rng = random.Random(62)
+    for seed in range(1000):
+        n = rng.randint(7, 62)
+        g = random_graph(n, rng.random(), seed) if seed % 2 else random_nb_graph(n, seed)
+        text = emit_graph6(g)
+        assert text == reference_emit_graph6(g)
+        assert g6_outcome(text) == g6_outcome(text.encode()) == g
+
+
+# what a mutation puts into a graph6 string: printable graph6 bytes (`~` too,
+# but never first), whitespace, control and out-of-range bytes, non-ASCII text
+G6_CHARS = [chr(c) for c in range(63, 127)] * 2 + list(" \t\n\r\x00\x1f>@_`}é€")
+
+
+def fuzz_graph6(rng: random.Random, bases: list[str]) -> str:
+    if rng.random() < 0.2:
+        return "".join(rng.choices(G6_CHARS, k=rng.randrange(6)))
+    chars = list(rng.choice(bases))
+    for _ in range(rng.randrange(4)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3)
+        if op == 0:
+            chars.insert(i, rng.choice(G6_CHARS))
+        elif chars:
+            i = min(i, len(chars) - 1)
+            if op == 1:
+                del chars[i]
+            else:
+                chars[i] = rng.choice(G6_CHARS)
+    return "".join(chars)
+
+
+def test_graph6_agrees_with_reference_on_seeded_fuzz():
+    rng = random.Random(6)
+    sizes = [rng.randrange(13) for _ in range(490)] + [rng.randrange(13, 63) for _ in range(10)]
+    bases = [emit_graph6(random_graph(n, rng.random(), seed)) for seed, n in enumerate(sizes)]
+    seen = 0
+    routes = set()
+    while seen < 100_000:
+        text = fuzz_graph6(rng, bases)
+        if text.startswith("~"):
+            continue
+        seen += 1
+        got = g6_outcome(text)
+        if text.isascii():
+            assert g6_outcome(text.encode()) == got
+        else:
+            assert g6_outcome(text.encode()) == ("error", "graph6 input is not ASCII")
+        routes.add(" ".join(got[1].split()[:2]) if isinstance(got, tuple) else "graph")
+    assert routes == {"graph", "empty graph6", "graph6 byte", "graph6 body", "graph6 padding"}
+
+
+graph6_like = st.builds(
+    lambda head, body: head + body,
+    st.sampled_from(["", "~", "~~", "~??", "~~?????"]),
+    st.text(st.characters(min_codepoint=62, max_codepoint=127), max_size=40),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.binary(max_size=40), st.text(max_size=40), graph6_like, graph6_like.map(str.encode)))
+def test_graph6_raises_only_parse_error_and_accepted_input_round_trips(data):
+    try:
+        g = parse_graph6(data)
+    except ParseError:
+        return
+    assert emit_graph6(g) == (data if isinstance(data, str) else data.decode("ascii"))
+
+
+@pytest.mark.parametrize("n", [63, 64, 1000, 4000])
+def test_graph6_round_trips_beyond_the_single_byte_size(n):
+    rng = random.Random(n)
+    member = random_nb_graph(n, seed=n)
+    cases = [member, *near_misses(member, rng)]
+    if n <= 1000:
+        cases.append(random_graph(n, 0.5, seed=n))
+    for g in cases:
+        text = emit_graph6(g)
+        assert text[:4] == "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+        assert len(text) == 4 + (n * (n - 1) // 2 + 5) // 6
+        assert parse_graph6(text) == parse_graph6(text.encode()) == g
