@@ -41,7 +41,6 @@ from .harness import (
     Mismatch,
     cross_check,
     enumerate_graphs,
-    graph_code,
     graph_from_code,
     graph_from_family,
     random_graph,
@@ -110,7 +109,6 @@ __all__ = [
     "find_forbidden_triple",
     "format_decomposition",
     "format_word",
-    "graph_code",
     "graph_from_code",
     "graph_from_family",
     "greedy_partition",

@@ -109,6 +109,18 @@ def eccentricity(g: Graph, v: int) -> int | None:
     return dist if visited == full else None
 
 
+def _universal_mask(g: Graph) -> int:
+    """The mask of :func:`universal_vertices`: one mask compare per vertex."""
+    if g.n <= 1:
+        return 0
+    full = (1 << g.n) - 1
+    out = 0
+    for v, row in enumerate(g.adj):
+        if row | 1 << v == full:
+            out |= 1 << v
+    return out
+
+
 def universal_vertices(g: Graph) -> frozenset[int]:
     """The vertices of eccentricity exactly one.
 
@@ -117,7 +129,4 @@ def universal_vertices(g: Graph) -> frozenset[int]:
     a one-vertex graph has eccentricity 0, and an empty graph has no
     vertices at all.
     """
-    if g.n <= 1:
-        return frozenset()
-    full = (1 << g.n) - 1
-    return frozenset(v for v, row in enumerate(g.adj) if row | 1 << v == full)
+    return frozenset(_bits(_universal_mask(g)))

@@ -40,14 +40,6 @@ def graph_from_code(n: int, code: int) -> Graph:
     return Graph(n, _rows(n, code))
 
 
-def graph_code(g: Graph) -> int:
-    code = 0
-    for i, (u, v) in enumerate(combinations(range(g.n), 2)):
-        if g.has_edge(u, v):
-            code |= 1 << i
-    return code
-
-
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """All 2^(n(n-1)/2) labeled graphs on n vertices in code order.
 

@@ -11,20 +11,20 @@ This module has the greedy construction (with pluggable pivot rules), the
 validator for the defining conditions, and the canonical partition from the
 twin-class recognizer.  All three work on adjacency masks: a part is valid
 exactly when each of its vertices is adjacent to everything outside it and
-nothing inside it, one mask compare per vertex.  A failed greedy run is
-turned into a forbidden-triple witness through its pivot, never through
-another decider.
+nothing inside it, one mask compare per vertex.  The greedy builder is one
+loop on masks from start to end, shared by :func:`run_greedy` and
+:func:`greedy_partition`; vertex sets are built only for what they return.
+A failed greedy run is turned into a forbidden-triple witness through its
+pivot, never through another decider.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .graphs import Graph, _bits, _low, _mask, universal_vertices
+from .graphs import Graph, _bits, _low, _mask, _universal_mask
 
 if TYPE_CHECKING:
     from .classify import ForbiddenTriple
@@ -94,10 +94,9 @@ def validate_partition(g: Graph, p: CommutingPartition) -> Violation | None:
     Raises ValueError when the blocks are not a partition of g's vertex set
     (overlap or non-coverage); that is a malformed input, not a Violation.
     """
-    blocks = p.blocks()
     masks = []
     union = 0
-    for block in blocks:
+    for block in p.blocks():
         for v in block:
             if not 0 <= v < g.n:
                 raise ValueError(f"vertex {v} is outside 0..{g.n - 1}")
@@ -109,41 +108,45 @@ def validate_partition(g: Graph, p: CommutingPartition) -> Violation | None:
     if union != (1 << g.n) - 1:
         raise ValueError("blocks do not cover the vertex set")
 
-    ecc_one = universal_vertices(g)
-    if p.p0 != ecc_one:
-        v = min(p.p0 ^ ecc_one)
-        return WrongP0(v, should_be_in_p0=v in ecc_one)
-    return _first_violation(g, blocks, masks)
+    ecc_one = _universal_mask(g)
+    if masks[0] != ecc_one:
+        v = _low(masks[0] ^ ecc_one)
+        return WrongP0(v, should_be_in_p0=bool(ecc_one >> v & 1))
+    return _first_violation(g, masks)
 
 
-def _first_violation(
-    g: Graph, blocks: Sequence[frozenset[int]], masks: list[int]
-) -> InternalEdge | MissingCrossEdge | None:
+def _first_violation(g: Graph, masks: Sequence[int]) -> InternalEdge | MissingCrossEdge | None:
     """The first internal or missing cross edge, in :func:`validate_partition`'s
-    order, of blocks (and their masks) that partition g, blocks[0] universal."""
-    # the blocks are valid iff every part vertex is adjacent to precisely the
-    # vertices outside its part; only a failure needs the ordered search
+    order, of block masks that partition g, masks[0] universal."""
+    # the blocks are valid iff every part vertex's row is precisely the
+    # vertices outside its part.  One pass in the documented order finds the
+    # first internal edge; a row that fails without one misses a cross edge.
     adj = g.adj
     full = (1 << g.n) - 1
-    if all(adj[v] == full & ~mask for part, mask in zip(blocks[1:], masks[1:]) for v in part):
+    complete = True
+    for k, mask in enumerate(masks[1:], start=1):
+        row = full ^ mask
+        for u in _bits(mask):
+            if adj[u] != row:
+                # an edge to a lower vertex of the part would have been named first
+                inside = adj[u] & mask
+                if inside:
+                    return InternalEdge(u, _low(inside), k)
+                complete = False
+    if complete:
         return None
 
-    for k, (part, mask) in enumerate(zip(blocks[1:], masks[1:]), start=1):
-        for u in sorted(part):
-            # an edge to a lower vertex of the part would have been named first
-            inside = adj[u] & mask
-            if inside:
-                return InternalEdge(u, _low(inside), k)
-
-    later = full
-    for i, (block, mask) in enumerate(zip(blocks, masks)):
-        later &= ~mask
-        misses = {u: later & ~adj[u] for u in sorted(block)}
-        missed = reduce(or_, misses.values(), 0)
+    # p0 is universal, so a missing cross edge starts in a part
+    later = full ^ masks[0]
+    for i, mask in enumerate(masks[1:], start=1):
+        later ^= mask
+        missed = 0
+        for u in _bits(mask):
+            missed |= later & ~adj[u]
         if missed:
             j = next(j for j in range(i + 1, len(masks)) if masks[j] & missed)
-            u = next(u for u, m in misses.items() if m & masks[j])
-            return MissingCrossEdge(u, _low(misses[u] & masks[j]), (i, j))
+            u = next(u for u in _bits(mask) if masks[j] & ~adj[u])
+            return MissingCrossEdge(u, _low(masks[j] & ~adj[u]), (i, j))
     return None
 
 
@@ -171,33 +174,47 @@ class GreedyRun:
     pivots: tuple[int, ...]
 
 
-def run_greedy(g: Graph, pivot_rule: PivotRule = min_pivot) -> GreedyRun:
-    """One pass of the greedy builder: p0 is the eccentricity-one set, then
-    each round splits off a pivot together with its unassigned non-neighbors.
-
-    Always terminates in at most n rounds because the pivot itself (loop-free,
-    hence a non-neighbor of itself) lands in the part it generates.
-    """
-    p0 = universal_vertices(g)
-    remaining = (1 << g.n) - 1 & ~_mask(p0)
-    parts: list[frozenset[int]] = []
+def _greedy(g: Graph, pivot_rule: PivotRule) -> tuple[int, list[int], list[int]]:
+    """The loop of :func:`run_greedy` on masks: the p0 mask, then the part
+    masks and their pivots in discovery order."""
+    adj = g.adj
+    p0 = _universal_mask(g)
+    remaining = (1 << g.n) - 1 ^ p0
+    parts: list[int] = []
     pivots: list[int] = []
     while remaining:
         candidates = _bits(remaining)
         w = pivot_rule(candidates)
         if w not in candidates:
             raise ValueError("pivot rule chose a vertex outside the remaining set")
-        part = remaining & ~g.adj[w]
-        parts.append(frozenset(_bits(part)))
+        part = remaining & ~adj[w]
+        parts.append(part)
         pivots.append(w)
         remaining ^= part
-    return GreedyRun(p0, tuple(parts), tuple(pivots))
+    return p0, parts, pivots
+
+
+def run_greedy(g: Graph, pivot_rule: PivotRule = min_pivot) -> GreedyRun:
+    """One pass of the greedy builder: p0 is the eccentricity-one set, then
+    each round hands the pivot rule the ascending tuple of unassigned
+    vertices and splits off its pivot with the pivot's unassigned
+    non-neighbors.  The loop runs on masks; the sets come at the end.
+
+    Always terminates in at most n rounds because the pivot itself (loop-free,
+    hence a non-neighbor of itself) lands in the part it generates.
+    """
+    p0, parts, pivots = _greedy(g, pivot_rule)
+    return GreedyRun(frozenset(_bits(p0)), tuple(frozenset(_bits(m)) for m in parts), tuple(pivots))
 
 
 def greedy_partition(
     g: Graph, pivot_rule: PivotRule = min_pivot
 ) -> CommutingPartition | ForbiddenTriple:
     """Build a commuting partition greedily, or produce a witness.
+
+    The loop of :func:`run_greedy` yields block masks, and each part is
+    tested on them: every vertex's row must be the mask of the vertices
+    outside its part.  Vertex sets are built only for a returned partition.
 
     On graphs that admit a commuting partition every pivot rule reaches the
     same unordered block family; the returned partition lists parts sorted by
@@ -211,14 +228,14 @@ def greedy_partition(
     and u != w because w is adjacent to v; it gives (min(v, w), max(v, w), u).
     A wrong p0 cannot occur.
     """
-    run = run_greedy(g, pivot_rule)
-    blocks = (run.p0, *run.parts)
-    violation = _first_violation(g, blocks, [_mask(b) for b in blocks])
+    p0, parts, pivots = _greedy(g, pivot_rule)
+    violation = _first_violation(g, [p0, *parts])
     if violation is None:
-        return CommutingPartition(run.p0, tuple(sorted(run.parts, key=min)))
+        parts.sort(key=_low)
+        return CommutingPartition(frozenset(_bits(p0)), tuple(frozenset(_bits(m)) for m in parts))
     if isinstance(violation, InternalEdge):
-        return classify.ForbiddenTriple(violation.u, violation.v, run.pivots[violation.part - 1])
-    u, v, w = violation.u, violation.v, run.pivots[violation.blocks[0] - 1]
+        return classify.ForbiddenTriple(violation.u, violation.v, pivots[violation.part - 1])
+    u, v, w = violation.u, violation.v, pivots[violation.blocks[0] - 1]
     return classify.ForbiddenTriple(min(v, w), max(v, w), u)
 
 

@@ -71,6 +71,16 @@ def induced_subgraph(g: Graph, keep: list[int]) -> Graph:
     return new_graph(len(keep), edges)
 
 
+def graph_code(g: Graph) -> int:
+    """The inverse of ``harness.graph_from_code``: bit i is the adjacency of
+    the i-th vertex pair in lexicographic order."""
+    code = 0
+    for i, (u, v) in enumerate(combinations(range(g.n), 2)):
+        if g.has_edge(u, v):
+            code |= 1 << i
+    return code
+
+
 # ---------------------------------------------------------------- oracles
 
 def brute_is_nb(g: Graph) -> bool:

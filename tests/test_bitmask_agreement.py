@@ -46,10 +46,19 @@ def assert_agree(g: Graph, make_pivot=lambda: min_pivot) -> None:
     assert greedy_partition(g, make_pivot()) == reference_greedy_partition(g, make_pivot())
 
 
+def first_remaining(remaining):
+    """Picks what ``min_pivot`` picks but is a different object, so a fast
+    path keyed on ``min_pivot`` itself could not hide a drift from the
+    general one."""
+    return remaining[0]
+
+
 def test_agreement_on_every_graph_up_to_six_vertices():
     for n in range(7):
         for g in enumerate_graphs(n):
             assert_agree(g)
+            assert run_greedy(g, first_remaining) == reference_run_greedy(g, first_remaining)
+            assert greedy_partition(g, first_remaining) == reference_greedy_partition(g, first_remaining)
 
 
 def test_agreement_with_seeded_pivots_up_to_five_vertices():

@@ -28,6 +28,7 @@ from helpers import (
     forbidden_pattern_graph,
     graphs,
     path_graph,
+    reference_run_greedy,
 )
 
 
@@ -154,6 +155,38 @@ def test_run_greedy_always_terminates_with_disjoint_cover(g):
 def test_misbehaving_pivot_rule_is_rejected():
     with pytest.raises(ValueError):
         greedy_partition(empty_graph(3), lambda remaining: 99)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        lambda remaining: 5,  # not a vertex of the graph
+        lambda remaining: 4,  # the universal vertex, in p0
+        lambda remaining: 0,  # taken by the first part, chosen again in round two
+    ],
+    ids=["outside-graph", "in-p0", "earlier-part"],
+)
+def test_pivot_outside_remaining_set_error_text(rule):
+    # a 4-cycle on 0..3 plus the universal vertex 4: p0 = {4}, parts {0, 2}, {1, 3}
+    g = new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)])
+    for build in (run_greedy, greedy_partition):
+        with pytest.raises(ValueError) as err:
+            build(g, rule)
+        assert str(err.value) == "pivot rule chose a vertex outside the remaining set"
+
+
+def test_pivot_rule_receives_the_reference_ascending_tuples():
+    def offered(build, g, seed):
+        calls = []
+        choose = seeded_pivot(seed)
+        build(g, lambda remaining: calls.append(remaining) or choose(remaining))
+        return calls
+
+    for n in range(6):
+        for code, g in enumerate(enumerate_graphs(n)):
+            calls = offered(run_greedy, g, code)
+            assert calls == offered(reference_run_greedy, g, code)
+            assert all(type(r) is tuple and list(r) == sorted(set(r)) for r in calls)
 
 
 def test_validate_accepts_good_partition():
