@@ -32,9 +32,10 @@ class ForbiddenTriple:
     c: int
 
     def __post_init__(self) -> None:
-        if len({self.a, self.b, self.c}) != 3:
+        a, b, c = self.a, self.b, self.c
+        if a == b or c == a or c == b:
             raise ValueError("witness vertices must be pairwise distinct")
-        if self.a >= self.b:
+        if a >= b:
             raise ValueError("witness edge must be normalized with a < b")
 
     def holds_in(self, g: Graph) -> bool:

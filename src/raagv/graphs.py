@@ -4,12 +4,16 @@ the package is built on.
 Vertices are the dense integers 0..n-1.  Adjacency is stored as one bitmask
 per vertex (bit v of ``adj[u]`` is set iff u and v are joined), which keeps
 pair queries O(1) and makes the set manipulations used by the classifiers
-cheap at the scales this library targets.
+cheap at the scales this library targets.  ``_bits`` lists a mask's vertices
+by the mask's size: a table lookup below 256, a low-bit loop for masks under
+64 bits or sparser than one bit in 16, and a walk over the binary digits for
+the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator
 
 
@@ -40,14 +44,27 @@ class Graph:
         return sum(m.bit_count() for m in self.adj) // 2
 
 
+_SMALL_BITS = tuple(tuple(v for v in range(8) if m >> v & 1) for m in range(256))
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     """The vertices of a mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    if mask < 256:
+        return _SMALL_BITS[mask]
+    length = mask.bit_length()
+    if length < 64 or 16 * mask.bit_count() < length:
+        # clearing the low bit copies the whole integer, so this loop costs
+        # O(k * length / 64) and wins only where k, the bit count, is small
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
+    # the list first: tuple() of an iterator with no length grows the tuple
+    # by repeated resizing, which measured as a higher peak memory
+    return tuple([*compress(range(length), bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES))])
 
 
 def _low(mask: int) -> int:
@@ -95,11 +112,8 @@ def eccentricity(g: Graph, v: int) -> int | None:
     dist = 0
     while True:
         nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= g.adj[low.bit_length() - 1]
-            m ^= low
+        for u in _bits(frontier):
+            nxt |= g.adj[u]
         nxt &= ~visited
         if not nxt:
             break

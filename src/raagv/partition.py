@@ -112,12 +112,17 @@ def validate_partition(g: Graph, p: CommutingPartition) -> Violation | None:
     if masks[0] != ecc_one:
         v = _low(masks[0] ^ ecc_one)
         return WrongP0(v, should_be_in_p0=bool(ecc_one >> v & 1))
-    return _first_violation(g, masks)
+    found = _first_violation(g, masks)
+    if found is None:
+        return None
+    u, v, i, j = found
+    return InternalEdge(u, v, i) if i == j else MissingCrossEdge(u, v, (i, j))
 
 
-def _first_violation(g: Graph, masks: Sequence[int]) -> InternalEdge | MissingCrossEdge | None:
+def _first_violation(g: Graph, masks: Sequence[int]) -> tuple[int, int, int, int] | None:
     """The first internal or missing cross edge, in :func:`validate_partition`'s
-    order, of block masks that partition g, masks[0] universal."""
+    order, of block masks that partition g, masks[0] universal: (u, v, i, j)
+    with u in block i and v in block j, and j == i for an internal edge."""
     # the blocks are valid iff every part vertex's row is precisely the
     # vertices outside its part.  One pass in the documented order finds the
     # first internal edge; a row that fails without one misses a cross edge.
@@ -131,7 +136,7 @@ def _first_violation(g: Graph, masks: Sequence[int]) -> InternalEdge | MissingCr
                 # an edge to a lower vertex of the part would have been named first
                 inside = adj[u] & mask
                 if inside:
-                    return InternalEdge(u, _low(inside), k)
+                    return u, _low(inside), k, k
                 complete = False
     if complete:
         return None
@@ -146,7 +151,7 @@ def _first_violation(g: Graph, masks: Sequence[int]) -> InternalEdge | MissingCr
         if missed:
             j = next(j for j in range(i + 1, len(masks)) if masks[j] & missed)
             u = next(u for u in _bits(mask) if masks[j] & ~adj[u])
-            return MissingCrossEdge(u, _low(masks[j] & ~adj[u]), (i, j))
+            return u, _low(masks[j] & ~adj[u]), i, j
     return None
 
 
@@ -229,13 +234,14 @@ def greedy_partition(
     A wrong p0 cannot occur.
     """
     p0, parts, pivots = _greedy(g, pivot_rule)
-    violation = _first_violation(g, [p0, *parts])
-    if violation is None:
+    found = _first_violation(g, [p0, *parts])
+    if found is None:
         parts.sort(key=_low)
         return CommutingPartition(frozenset(_bits(p0)), tuple(frozenset(_bits(m)) for m in parts))
-    if isinstance(violation, InternalEdge):
-        return classify.ForbiddenTriple(violation.u, violation.v, pivots[violation.part - 1])
-    u, v, w = violation.u, violation.v, pivots[violation.blocks[0] - 1]
+    u, v, i, j = found
+    w = pivots[i - 1]
+    if i == j:
+        return classify.ForbiddenTriple(u, v, w)
     return classify.ForbiddenTriple(min(v, w), max(v, w), u)
 
 

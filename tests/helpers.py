@@ -30,11 +30,13 @@ from raagv import (
     WrongP0,
     canonical_partition,
     eccentricity,
+    find_forbidden_triple,
+    greedy_partition,
     new_graph,
     recognize_multipartite,
 )
 from raagv.graphio import MAX_VERTICES, _assign_labels
-from raagv.graphs import _bits, _mask
+from raagv.graphs import _mask
 from raagv.matrixrep import IDENTITY, Matrix, MatrixImage, evaluate_word
 
 
@@ -154,6 +156,16 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n)))
 
 
+def reference_bits(mask: int) -> tuple[int, ...]:
+    """``graphs._bits`` as a single low-bit loop for every mask size."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, each sorted ascending, the
     list ordered by minimum vertex."""
@@ -166,15 +178,12 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
         frontier = comp
         while frontier:
             nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= g.adj[low.bit_length() - 1]
-                m ^= low
+            for u in reference_bits(frontier):
+                nxt |= g.adj[u]
             frontier = nxt & ~comp
             comp |= frontier
         seen |= comp
-        out.append(_bits(comp))
+        out.append(reference_bits(comp))
     return out
 
 
@@ -314,6 +323,54 @@ def near_misses(g: Graph, rng: random.Random) -> list[Graph]:
     u, v = rng.sample(sorted(rng.choice([b for b in p.parts if len(b) > 1])), 2)
     a, b = rng.sample([sorted(b) for b in p.blocks() if b], 2)
     return [toggled(g, u, v), toggled(g, rng.choice(a), rng.choice(b))]
+
+
+def restricted_growth_strings(n: int) -> list[tuple[int, ...]]:
+    """Every set partition of range(n), as the string whose entry v numbers
+    the block of v, blocks numbered by first appearance: Bell(n) strings."""
+    strings: list[tuple[int, ...]] = [()]
+    for _ in range(n):
+        strings = [s + (b,) for s in strings for b in range(max(s, default=-1) + 2)]
+    return strings
+
+
+def boundary_sweep(n: int) -> tuple[int, int, list[Graph]]:
+    """The three deciders on both sides of the class boundary at order n.
+
+    Each set partition of range(n) gives a member: the complete multipartite
+    graph with its blocks as parts, where a singleton block comes out as a
+    universal vertex.  Every single-pair flip of a member is checked too.
+    Returns the pattern-free members, the pattern-free flips, and the graphs
+    on which the deciders disagree, a positive greedy partition differs from
+    the recognizer's, or a greedy witness fails ``holds_in``.
+    """
+    full = (1 << n) - 1
+    members = flips = 0
+    bad: list[Graph] = []
+    for rgs in restricted_growth_strings(n):
+        blocks: dict[int, int] = {}
+        for v, b in enumerate(rgs):
+            blocks[b] = blocks.get(b, 0) | 1 << v
+        member = Graph(n, tuple(full & ~blocks[b] for b in rgs))
+        members += _decide(member, bad)
+        for u, v in combinations(range(n), 2):
+            flips += _decide(toggled(member, u, v), bad)
+    return members, flips, bad
+
+
+def _decide(g: Graph, bad: list[Graph]) -> bool:
+    """The triple scan's verdict, with g appended to ``bad`` when the greedy
+    builder or the recognizer says otherwise or the greedy witness fails."""
+    free = find_forbidden_triple(g) is None
+    greedy = greedy_partition(g)
+    part = recognize_multipartite(g)
+    if isinstance(greedy, CommutingPartition):
+        ok = free and part is not None and greedy.family() == part.family()
+    else:
+        ok = not free and part is None and greedy.holds_in(g)
+    if not ok:
+        bad.append(g)
+    return free
 
 
 # ------------------------------------------------ reference read/write

@@ -80,10 +80,12 @@ def test_witness_is_deterministic():
 
 
 def test_triple_normalization_rejected():
-    with pytest.raises(ValueError):
+    for a, b, c in [(1, 1, 0), (0, 1, 0), (0, 1, 1), (1, 0, 1)]:
+        # (1, 0, 1) also breaks a < b, but distinctness is checked first
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            ForbiddenTriple(a, b, c)
+    with pytest.raises(ValueError, match="normalized with a < b"):
         ForbiddenTriple(2, 1, 0)
-    with pytest.raises(ValueError):
-        ForbiddenTriple(0, 1, 1)
 
 
 def test_recognize_cycle4():

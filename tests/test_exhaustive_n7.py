@@ -1,6 +1,6 @@
 """Exhaustive cross-check of the three deciders at seven vertices.
 
-Slow (40 to 46 s on one core of a 2-vCPU guest with Python 3.11), so it is
+Slow (27 to 37 s on one core of a 2-vCPU guest with Python 3.11), so it is
 marked ``slow`` and left out of the default run; select it with
 ``python -m pytest -m slow``.
 """

@@ -1,9 +1,11 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given
 
 from raagv import eccentricity, new_graph, universal_vertices
+from raagv.graphs import _bits
 
 from helpers import (
     complement,
@@ -14,6 +16,7 @@ from helpers import (
     graphs,
     is_clique,
     path_graph,
+    reference_bits,
     slow_eccentricity,
 )
 
@@ -71,6 +74,28 @@ def test_eccentricity_out_of_range():
 def test_eccentricity_matches_slow_bfs(g):
     for v in range(g.n):
         assert eccentricity(g, v) == slow_eccentricity(g, v)
+
+
+def bits_cases():
+    """Masks on every side of the choices ``_bits`` makes by size."""
+    yield from range(512)
+    for length in (63, 64, 65):
+        top = 1 << length - 1
+        yield from (top, top | 1, (top << 1) - 1, top | 0x5555)
+    # the loop is kept while 16 * bit_count < bit_length
+    for length in (64, 65, 1000, 4096):
+        for count in (length // 16 - 1, length // 16, length // 16 + 1):
+            yield (1 << length - 1) | (1 << count - 1) - 1
+    yield from (0, 1 << 65535, (1 << 65536) - 1)
+    rng = random.Random(11)
+    for length in (70, 300, 1000, 5000):
+        for density in (1 / 64, 1 / 16, 1 / 15, 1 / 4, 1 / 2, 1):
+            yield sum(1 << v for v in range(length) if rng.random() < density)
+
+
+def test_bits_matches_reference_loop():
+    for mask in bits_cases():
+        assert _bits(mask) == reference_bits(mask), (mask.bit_length(), mask.bit_count())
 
 
 def test_universal_vertices_path():
