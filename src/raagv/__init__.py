@@ -41,7 +41,6 @@ from .harness import (
     Mismatch,
     cross_check,
     enumerate_graphs,
-    graph_from_code,
     graph_from_family,
     random_graph,
     random_nb_graph,
@@ -49,7 +48,6 @@ from .harness import (
 )
 from .partition import (
     CommutingPartition,
-    GreedyRun,
     InternalEdge,
     MissingCrossEdge,
     Violation,
@@ -57,7 +55,6 @@ from .partition import (
     canonical_partition,
     greedy_partition,
     min_pivot,
-    run_greedy,
     seeded_pivot,
     validate_partition,
 )
@@ -81,7 +78,6 @@ __all__ = [
     "Embeddable",
     "ForbiddenTriple",
     "Graph",
-    "GreedyRun",
     "GroupModel",
     "GroupDecomposition",
     "InternalEdge",
@@ -109,7 +105,6 @@ __all__ = [
     "find_forbidden_triple",
     "format_decomposition",
     "format_word",
-    "graph_from_code",
     "graph_from_family",
     "greedy_partition",
     "group_model",
@@ -125,7 +120,6 @@ __all__ = [
     "random_nb_graph",
     "random_partition_family",
     "recognize_multipartite",
-    "run_greedy",
     "seeded_pivot",
     "universal_vertices",
     "validate_partition",

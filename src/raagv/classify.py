@@ -9,42 +9,14 @@ universal vertices.  ``find_forbidden_triple`` scans for the pattern
 directly; ``recognize_multipartite`` checks the complement structure as
 twin classes (every vertex of a block has the same neighbourhood, and the
 block is exactly the non-neighbours of each of its vertices) and hands back
-the canonical commuting partition.
+the canonical commuting partition.  ``canonical_partition`` composes the
+two: the recognizer's partition, or else the scan's least witness.  This
+module imports only :mod:`raagv.graphs`, where both result types live.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import Graph, _bits, _low
-from .partition import CommutingPartition
-
-
-@dataclass(frozen=True)
-class ForbiddenTriple:
-    """Witness (a, b, c): (a, b) is an edge and c is adjacent to neither.
-
-    Normalized so that a < b; c is unconstrained apart from distinctness.
-    """
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
-        if a == b or c == a or c == b:
-            raise ValueError("witness vertices must be pairwise distinct")
-        if a >= b:
-            raise ValueError("witness edge must be normalized with a < b")
-
-    def holds_in(self, g: Graph) -> bool:
-        """True iff this triple actually certifies g."""
-        return (
-            g.has_edge(self.a, self.b)
-            and not g.has_edge(self.a, self.c)
-            and not g.has_edge(self.b, self.c)
-        )
+from .graphs import CommutingPartition, ForbiddenTriple, Graph, _bits, _low
 
 
 def find_forbidden_triple(g: Graph) -> ForbiddenTriple | None:
@@ -103,3 +75,15 @@ def recognize_multipartite(g: Graph) -> CommutingPartition | None:
                 return None
         parts.append(frozenset(members))
     return CommutingPartition(frozenset(p0), tuple(parts))
+
+
+def canonical_partition(g: Graph) -> CommutingPartition | ForbiddenTriple:
+    """The twin-class partition when one exists, else the lexicographically
+    least forbidden triple."""
+    part = recognize_multipartite(g)
+    if part is not None:
+        return part
+    witness = find_forbidden_triple(g)
+    if witness is None:
+        raise AssertionError("recognizer rejected a triple-free graph")
+    return witness

@@ -23,10 +23,9 @@ from functools import cache
 from typing import Sequence
 
 from .graphio import LabelMap, emit_edge_list, parse_edge_list, parse_graph6
-from .graphs import Graph
+from .graphs import CommutingPartition, Graph
 from .groups import Embeddable, emit_presentation, format_decomposition, verdict
 from .harness import cross_check, random_graph, random_nb_graph
-from .partition import CommutingPartition
 from .words import format_word, group_model, parse_word
 
 

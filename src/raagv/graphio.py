@@ -22,15 +22,21 @@ import base64
 import re
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits
-from .partition import CommutingPartition
-from .words import _SIGNED_INT, _echo
+from .graphs import CommutingPartition, Graph, _bits
 
 
 # Largest vertex count an edge-list or graph6 header may declare.  The count
 # sizes the tables and the adjacency list before any edge is read, so an
 # unchecked header could ask for memory the input never justifies.
 MAX_VERTICES = 1 << 16
+
+
+# An optional ASCII sign and ASCII digits: a header count or a word token.
+_SIGNED_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _echo(text: str, form=str) -> str:  # error texts echo at most 32 characters
+    return form(text[:32]) + (f"... ({len(text)} characters)" if len(text) > 32 else "")
 
 
 class ParseError(ValueError):

@@ -8,6 +8,10 @@ cheap at the scales this library targets.  ``_bits`` lists a mask's vertices
 by the mask's size: a table lookup below 256, a low-bit loop for masks under
 64 bits or sparser than one bit in 16, and a walk over the binary digits for
 the rest.
+
+The deciders' two result types live here too, so that no decider imports
+another: :class:`CommutingPartition` for a graph that avoids the forbidden
+pattern and :class:`ForbiddenTriple` for one that does not.
 """
 
 from __future__ import annotations
@@ -33,15 +37,63 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield the edges (u, v) with u < v in lexicographic order."""
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1) << (u + 1)
-            while rest:
-                low = rest & -rest
-                yield (u, low.bit_length() - 1)
-                rest ^= low
+        for u, row in enumerate(self.adj):
+            for v in _bits(row >> u + 1 << u + 1):
+                yield (u, v)
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
+
+
+@dataclass(frozen=True)
+class CommutingPartition:
+    """Block structure: p0 plus nonempty parts.
+
+    Two partitions describe the same block structure exactly when their
+    :meth:`family` views agree; the order of ``parts`` is presentation only.
+    """
+
+    p0: frozenset[int]
+    parts: tuple[frozenset[int], ...]
+
+    def __post_init__(self) -> None:
+        if any(not part for part in self.parts):
+            raise ValueError("parts must be nonempty")
+
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        """All blocks, p0 first; parts occupy indices 1..len(parts)."""
+        return (self.p0, *self.parts)
+
+    def family(self) -> tuple[frozenset[int], frozenset[frozenset[int]]]:
+        """Order-free view used for partition equality."""
+        return (self.p0, frozenset(self.parts))
+
+
+@dataclass(frozen=True)
+class ForbiddenTriple:
+    """Witness (a, b, c): (a, b) is an edge and c is adjacent to neither.
+
+    Normalized so that a < b; c is unconstrained apart from distinctness.
+    """
+
+    a: int
+    b: int
+    c: int
+
+    def __post_init__(self) -> None:
+        a, b, c = self.a, self.b, self.c
+        if a == b or c == a or c == b:
+            raise ValueError("witness vertices must be pairwise distinct")
+        if a >= b:
+            raise ValueError("witness edge must be normalized with a < b")
+
+    def holds_in(self, g: Graph) -> bool:
+        """True iff this triple actually certifies g."""
+        return (
+            g.has_edge(self.a, self.b)
+            and not g.has_edge(self.a, self.c)
+            and not g.has_edge(self.b, self.c)
+        )
 
 
 _SMALL_BITS = tuple(tuple(v for v in range(8) if m >> v & 1) for m in range(256))

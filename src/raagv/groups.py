@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import ForbiddenTriple
-from .graphs import Graph, _bits
-from .partition import CommutingPartition, canonical_partition
+from .classify import canonical_partition
+from .graphs import CommutingPartition, ForbiddenTriple, Graph, _bits
 
 
 @dataclass(frozen=True)

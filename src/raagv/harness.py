@@ -17,8 +17,8 @@ from operator import or_
 from typing import Iterator
 
 from .classify import find_forbidden_triple, recognize_multipartite
-from .graphs import Graph, _mask, new_graph
-from .partition import CommutingPartition, greedy_partition
+from .graphs import CommutingPartition, Graph, _mask, new_graph
+from .partition import greedy_partition
 
 MAX_ENUMERATION_N = 8
 
@@ -32,12 +32,6 @@ def _rows(n: int, code: int) -> tuple[int, ...]:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
     return tuple(adj)
-
-
-def graph_from_code(n: int, code: int) -> Graph:
-    """Decode a graph from the integer whose bit i is the adjacency of the
-    i-th vertex pair in lexicographic order."""
-    return Graph(n, _rows(n, code))
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:

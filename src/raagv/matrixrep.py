@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .partition import CommutingPartition
+from .graphs import CommutingPartition
 from .words import Word
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]

@@ -7,51 +7,26 @@ admits one exactly when it avoids the three-vertex pattern "one edge plus a
 vertex adjacent to neither endpoint"; on such graphs the partition is unique
 as an unordered family of blocks.
 
-This module has the greedy construction (with pluggable pivot rules), the
-validator for the defining conditions, and the canonical partition from the
-twin-class recognizer.  All three work on adjacency masks: a part is valid
-exactly when each of its vertices is adjacent to everything outside it and
-nothing inside it, one mask compare per vertex.  The greedy builder is one
-loop on masks from start to end, shared by :func:`run_greedy` and
-:func:`greedy_partition`; vertex sets are built only for what they return.
-A failed greedy run is turned into a forbidden-triple witness through its
-pivot, never through another decider.
+This module has the greedy construction (with pluggable pivot rules) and
+the validator for the defining conditions.  Both work on adjacency masks: a
+part is valid exactly when each of its vertices is adjacent to everything
+outside it and nothing inside it, one mask compare per vertex.  The greedy
+builder is one loop on masks from start to end; vertex sets are built only
+for what it returns.  A failed greedy run is turned into a forbidden-triple
+witness through its pivot, never through another decider.  The result types
+come from :mod:`raagv.graphs`; ``canonical_partition`` lives in
+:mod:`raagv.classify` and is bound here only under the name the benchmark
+traces.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
-from .graphs import Graph, _bits, _low, _mask, _universal_mask
-
-if TYPE_CHECKING:
-    from .classify import ForbiddenTriple
-
-
-@dataclass(frozen=True)
-class CommutingPartition:
-    """Block structure: p0 plus nonempty parts.
-
-    Two partitions describe the same block structure exactly when their
-    :meth:`family` views agree; the order of ``parts`` is presentation only.
-    """
-
-    p0: frozenset[int]
-    parts: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        if any(not part for part in self.parts):
-            raise ValueError("parts must be nonempty")
-
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        """All blocks, p0 first; parts occupy indices 1..len(parts)."""
-        return (self.p0, *self.parts)
-
-    def family(self) -> tuple[frozenset[int], frozenset[frozenset[int]]]:
-        """Order-free view used for partition equality."""
-        return (self.p0, frozenset(self.parts))
+from .classify import canonical_partition  # the benchmark traces it by this name
+from .graphs import CommutingPartition, ForbiddenTriple, Graph, _bits, _low, _mask, _universal_mask
 
 
 @dataclass(frozen=True)
@@ -169,19 +144,12 @@ def seeded_pivot(seed: int) -> PivotRule:
     return lambda remaining: rng.choice(remaining)
 
 
-@dataclass(frozen=True)
-class GreedyRun:
-    """Raw outcome of the block-building loop, parts in discovery order with
-    the pivot that generated each one."""
-
-    p0: frozenset[int]
-    parts: tuple[frozenset[int], ...]
-    pivots: tuple[int, ...]
-
-
 def _greedy(g: Graph, pivot_rule: PivotRule) -> tuple[int, list[int], list[int]]:
-    """The loop of :func:`run_greedy` on masks: the p0 mask, then the part
-    masks and their pivots in discovery order."""
+    """One greedy pass on masks: p0 is the eccentricity-one set, then each
+    round hands the pivot rule the ascending tuple of unassigned vertices and
+    splits off the pivot with its unassigned non-neighbors, itself included
+    (loop-free), so at most n rounds run.  Returns the p0 mask, then the
+    part masks and their pivots in discovery order."""
     adj = g.adj
     p0 = _universal_mask(g)
     remaining = (1 << g.n) - 1 ^ p0
@@ -199,25 +167,12 @@ def _greedy(g: Graph, pivot_rule: PivotRule) -> tuple[int, list[int], list[int]]
     return p0, parts, pivots
 
 
-def run_greedy(g: Graph, pivot_rule: PivotRule = min_pivot) -> GreedyRun:
-    """One pass of the greedy builder: p0 is the eccentricity-one set, then
-    each round hands the pivot rule the ascending tuple of unassigned
-    vertices and splits off its pivot with the pivot's unassigned
-    non-neighbors.  The loop runs on masks; the sets come at the end.
-
-    Always terminates in at most n rounds because the pivot itself (loop-free,
-    hence a non-neighbor of itself) lands in the part it generates.
-    """
-    p0, parts, pivots = _greedy(g, pivot_rule)
-    return GreedyRun(frozenset(_bits(p0)), tuple(frozenset(_bits(m)) for m in parts), tuple(pivots))
-
-
 def greedy_partition(
     g: Graph, pivot_rule: PivotRule = min_pivot
 ) -> CommutingPartition | ForbiddenTriple:
     """Build a commuting partition greedily, or produce a witness.
 
-    The loop of :func:`run_greedy` yields block masks, and each part is
+    The loop of :func:`_greedy` yields block masks, and each part is
     tested on them: every vertex's row must be the mask of the vertices
     outside its part.  Vertex sets are built only for a returned partition.
 
@@ -241,22 +196,5 @@ def greedy_partition(
     u, v, i, j = found
     w = pivots[i - 1]
     if i == j:
-        return classify.ForbiddenTriple(u, v, w)
-    return classify.ForbiddenTriple(min(v, w), max(v, w), u)
-
-
-def canonical_partition(g: Graph) -> CommutingPartition | ForbiddenTriple:
-    """The twin-class partition when one exists, else the lexicographically
-    least forbidden triple."""
-    part = classify.recognize_multipartite(g)
-    if part is not None:
-        return part
-    witness = classify.find_forbidden_triple(g)
-    if witness is None:
-        raise AssertionError("recognizer rejected a triple-free graph")
-    return witness
-
-
-# Last, because classify imports this module for the partition type; the
-# functions above look its names up when called.
-from . import classify  # noqa: E402
+        return ForbiddenTriple(u, v, w)
+    return ForbiddenTriple(min(v, w), max(v, w), u)

@@ -14,13 +14,12 @@ triple) once and keeps it on that object, so it lives as long as the graph.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .classify import ForbiddenTriple
-from .graphs import Graph
-from .partition import CommutingPartition, canonical_partition
+from .classify import canonical_partition
+from .graphio import _SIGNED_INT, _echo
+from .graphs import CommutingPartition, ForbiddenTriple, Graph
 
 
 class Letter(NamedTuple):
@@ -31,8 +30,6 @@ class Letter(NamedTuple):
 
 
 Word = tuple[Letter, ...]
-
-_SIGNED_INT = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -150,10 +147,6 @@ def parse_word(text: str, n: int) -> Word:
             raise ValueError(f"generator {_echo(digits)} exceeds the vertex count {n}")
         letters.append(Letter(int(digits) - 1, -1 if token[0] == "-" else 1))
     return tuple(letters)
-
-
-def _echo(text: str, form=str) -> str:  # error texts echo at most 32 characters
-    return form(text[:32]) + (f"... ({len(text)} characters)" if len(text) > 32 else "")
 
 
 def format_word(w: Word) -> str:

@@ -8,6 +8,7 @@ dicts and itertools) so that agreement tests actually compare two routes.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
@@ -19,7 +20,6 @@ from raagv import (
     CommutingPartition,
     ForbiddenTriple,
     Graph,
-    GreedyRun,
     InternalEdge,
     LabelMap,
     Letter,
@@ -35,8 +35,9 @@ from raagv import (
     new_graph,
     recognize_multipartite,
 )
+from raagv import harness, partition
 from raagv.graphio import MAX_VERTICES, _assign_labels
-from raagv.graphs import _mask
+from raagv.graphs import _bits, _mask
 from raagv.matrixrep import IDENTITY, Matrix, MatrixImage, evaluate_word
 
 
@@ -73,9 +74,15 @@ def induced_subgraph(g: Graph, keep: list[int]) -> Graph:
     return new_graph(len(keep), edges)
 
 
+def graph_from_code(n: int, code: int) -> Graph:
+    """Decode a graph from the integer whose bit i is the adjacency of the
+    i-th vertex pair in lexicographic order: the graph numbered ``code`` by
+    ``harness.enumerate_graphs``."""
+    return Graph(n, harness._rows(n, code))
+
+
 def graph_code(g: Graph) -> int:
-    """The inverse of ``harness.graph_from_code``: bit i is the adjacency of
-    the i-th vertex pair in lexicographic order."""
+    """The inverse of :func:`graph_from_code`."""
     code = 0
     for i, (u, v) in enumerate(combinations(range(g.n), 2)):
         if g.has_edge(u, v):
@@ -164,6 +171,13 @@ def reference_bits(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def reference_edges(g: Graph):
+    """``Graph.edges`` with each row walked by :func:`reference_bits`."""
+    for u, row in enumerate(g.adj):
+        for v in reference_bits(row >> u + 1 << u + 1):
+            yield (u, v)
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
@@ -256,6 +270,23 @@ def reference_validate_partition(g: Graph, p: CommutingPartition):
                     if not g.has_edge(u, v):
                         return MissingCrossEdge(u, v, (i, j))
     return None
+
+
+@dataclass(frozen=True)
+class GreedyRun:
+    """Raw outcome of the block-building loop, parts in discovery order with
+    the pivot that generated each one."""
+
+    p0: frozenset[int]
+    parts: tuple[frozenset[int], ...]
+    pivots: tuple[int, ...]
+
+
+def run_greedy(g: Graph, pivot_rule=partition.min_pivot) -> GreedyRun:
+    """The greedy builder's loop, ``partition._greedy``, with its masks
+    turned into vertex sets."""
+    p0, parts, pivots = partition._greedy(g, pivot_rule)
+    return GreedyRun(frozenset(_bits(p0)), tuple(frozenset(_bits(m)) for m in parts), tuple(pivots))
 
 
 def reference_run_greedy(g: Graph, pivot_rule) -> GreedyRun:
@@ -429,7 +460,7 @@ def reference_parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
 
 def reference_find_forbidden_triple(g: Graph) -> ForbiddenTriple | None:
     full = (1 << g.n) - 1
-    for a, b in g.edges():
+    for a, b in reference_edges(g):
         free = full & ~(g.adj[a] | g.adj[b] | 1 << a | 1 << b)
         if free:
             return ForbiddenTriple(a, b, (free & -free).bit_length() - 1)
@@ -440,7 +471,7 @@ def reference_emit_edge_list(g: Graph, labels: LabelMap | None = None) -> str:
     if labels is None:
         labels = LabelMap.default(g.n)
     lines = [f"n {g.n}"]
-    lines.extend(f"e {labels.label(u)} {labels.label(v)}" for u, v in g.edges())
+    lines.extend(f"e {labels.label(u)} {labels.label(v)}" for u, v in reference_edges(g))
     return "\n".join(lines) + "\n"
 
 
@@ -504,7 +535,7 @@ def reference_parse_graph6(data: str | bytes) -> Graph:
 
 def reference_emit_presentation(g: Graph) -> str:
     gens = ",".join(f"x{v}" for v in range(g.n))
-    rels = ",".join(f"x{u}x{v}=x{v}x{u}" for u, v in g.edges())
+    rels = ",".join(f"x{u}x{v}=x{v}x{u}" for u, v in reference_edges(g))
     return f"⟨{gens} | {rels}⟩"
 
 

@@ -17,7 +17,6 @@ from raagv import (
     greedy_partition,
     min_pivot,
     recognize_multipartite,
-    run_greedy,
     seeded_pivot,
     universal_vertices,
     validate_partition,
@@ -31,6 +30,7 @@ from helpers import (
     reference_run_greedy,
     reference_universal_vertices,
     reference_validate_partition,
+    run_greedy,
 )
 
 

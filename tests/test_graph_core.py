@@ -6,6 +6,7 @@ from hypothesis import given
 
 from raagv import eccentricity, new_graph, universal_vertices
 from raagv.graphs import _bits
+from raagv.harness import random_graph
 
 from helpers import (
     complement,
@@ -17,6 +18,7 @@ from helpers import (
     is_clique,
     path_graph,
     reference_bits,
+    reference_edges,
     slow_eccentricity,
 )
 
@@ -96,6 +98,18 @@ def bits_cases():
 def test_bits_matches_reference_loop():
     for mask in bits_cases():
         assert _bits(mask) == reference_bits(mask), (mask.bit_length(), mask.bit_count())
+
+
+@given(graphs())
+def test_edges_match_reference_walk(g):
+    assert list(g.edges()) == list(reference_edges(g))
+
+
+def test_edges_match_reference_walk_at_n300():
+    # rows near the top are sparse and near the bottom dense, so both of
+    # the walks _bits chooses between above 255 run
+    g = random_graph(300, 0.3, seed=1)
+    assert list(g.edges()) == list(reference_edges(g))
 
 
 def test_universal_vertices_path():

@@ -10,7 +10,6 @@ from raagv import (
     canonical_partition,
     cross_check,
     enumerate_graphs,
-    graph_from_code,
     graph_from_family,
     is_nb,
     new_graph,
@@ -23,6 +22,7 @@ from helpers import (
     brute_is_nb,
     complete_graph,
     graph_code,
+    graph_from_code,
     predicted_canonical_family,
     reference_graph_from_family,
 )

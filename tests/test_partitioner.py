@@ -14,7 +14,6 @@ from raagv import (
     is_nb,
     min_pivot,
     new_graph,
-    run_greedy,
     seeded_pivot,
     universal_vertices,
     validate_partition,
@@ -29,6 +28,7 @@ from helpers import (
     graphs,
     path_graph,
     reference_run_greedy,
+    run_greedy,
 )
 
 
