@@ -9,13 +9,17 @@ every position in each file, so a late or conditional import counts too.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import raagv
 from raagv import classify, partition
 
-SRC = Path(raagv.__file__).parent
-MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+
+@cache
+def modules() -> dict[str, ast.Module]:
+    src = Path(raagv.__file__).parent
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")}
 
 
 def imported_names(tree: ast.Module) -> dict[str, set[str]]:
@@ -39,14 +43,16 @@ def imported_names(tree: ast.Module) -> dict[str, set[str]]:
             for alias in node.names:
                 if module:
                     out.setdefault(module, set()).add(alias.name)
-                elif alias.name in MODULES:
+                elif alias.name in modules():
                     out.setdefault(alias.name, set()).add(alias.name)
                 else:
                     out.setdefault("__init__", set()).add(alias.name)
     return out
 
 
-IMPORTS = {name: imported_names(tree) for name, tree in MODULES.items()}
+@cache
+def imports() -> dict[str, dict[str, set[str]]]:
+    return {name: imported_names(tree) for name, tree in modules().items()}
 
 
 def test_import_graph_is_acyclic():
@@ -56,17 +62,17 @@ def test_import_graph_is_acyclic():
         assert module not in path, "import cycle: " + " -> ".join((*path, module))
         if module in done:
             return
-        for target in IMPORTS[module]:
+        for target in imports()[module]:
             visit(target, (*path, module))
         done.add(module)
 
-    for module in MODULES:
+    for module in modules():
         visit(module, ())
 
 
 def test_imports_come_first_and_at_top_level():
     # rules out imports under TYPE_CHECKING, inside functions, and after the code
-    for name, tree in MODULES.items():
+    for name, tree in modules().items():
         top = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
         nested = [
             node
@@ -84,13 +90,13 @@ def _is_docstring(node: ast.stmt) -> bool:
 
 
 def test_classify_and_graphio_import_only_graphs():
-    assert set(IMPORTS["classify"]) == {"graphs"}
-    assert set(IMPORTS["graphio"]) == {"graphs"}
+    assert set(imports()["classify"]) == {"graphs"}
+    assert set(imports()["graphio"]) == {"graphs"}
 
 
 def test_partition_takes_only_canonical_partition_from_classify():
-    assert IMPORTS["partition"]["classify"] == {"canonical_partition"}
-    for node in ast.walk(MODULES["partition"]):
+    assert imports()["partition"]["classify"] == {"canonical_partition"}
+    for node in ast.walk(modules()["partition"]):
         if isinstance(node, (ast.FunctionDef, ast.Lambda)):
             for inner in ast.walk(node):
                 assert getattr(inner, "id", None) != "canonical_partition", inner.lineno
