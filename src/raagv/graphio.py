@@ -295,7 +295,9 @@ def emit_dot(
             for v in sorted(part):
                 out.append("  " + node_line(v))
             out.append("  }")
-    for u, v in g.edges():
-        out.append(f"  {u} -- {v};")
+    ends = [f"{v};" for v in range(g.n)]
+    for u, row in enumerate(g.adj):
+        head = f"  {u} -- "
+        out.extend([head + ends[v] for v in _bits(row >> u + 1 << u + 1)])
     out.append("}")
     return "\n".join(out) + "\n"

@@ -12,6 +12,17 @@ the rest.
 The deciders' two result types live here too, so that no decider imports
 another: :class:`CommutingPartition` for a graph that avoids the forbidden
 pattern and :class:`ForbiddenTriple` for one that does not.
+
+:class:`Graph` and :class:`ForbiddenTriple` are built once or twice per
+graph of an exhaustive sweep, so each has a hand-written ``__init__`` that
+fills the instance ``__dict__`` by item assignment.  A frozen dataclass's
+generated ``__init__`` calls ``object.__setattr__`` once per field and then
+``__post_init__``, which took twice as long; ``dict.update`` would build a
+keyword dict per call and unshare the instance dict's keys.  Both stay
+frozen dataclasses: equality, hashing, ``repr``, ``replace`` (which calls
+``__init__`` and so re-validates) and pickling are the generated ones, and
+the instance ``__dict__`` still holds per-object caches such as the word
+model of :mod:`raagv.words`.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from itertools import compress
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
     """A finite simple graph: undirected, no loops, no multi-edges.
 
@@ -31,6 +42,11 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
+
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        fields = self.__dict__
+        fields["n"] = n
+        fields["adj"] = adj
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -57,7 +73,7 @@ class CommutingPartition:
     parts: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        if any(not part for part in self.parts):
+        if not all(self.parts):
             raise ValueError("parts must be nonempty")
 
     def blocks(self) -> tuple[frozenset[int], ...]:
@@ -69,7 +85,7 @@ class CommutingPartition:
         return (self.p0, frozenset(self.parts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ForbiddenTriple:
     """Witness (a, b, c): (a, b) is an edge and c is adjacent to neither.
 
@@ -80,12 +96,15 @@ class ForbiddenTriple:
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
+    def __init__(self, a: int, b: int, c: int) -> None:
         if a == b or c == a or c == b:
             raise ValueError("witness vertices must be pairwise distinct")
         if a >= b:
             raise ValueError("witness edge must be normalized with a < b")
+        fields = self.__dict__
+        fields["a"] = a
+        fields["b"] = b
+        fields["c"] = c
 
     def holds_in(self, g: Graph) -> bool:
         """True iff this triple actually certifies g."""

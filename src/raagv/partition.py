@@ -10,7 +10,10 @@ as an unordered family of blocks.
 This module has the greedy construction (with pluggable pivot rules) and
 the validator for the defining conditions.  Both work on adjacency masks: a
 part is valid exactly when each of its vertices is adjacent to everything
-outside it and nothing inside it, one mask compare per vertex.  The greedy
+outside it and nothing inside it, one mask compare per vertex.  The pass
+that makes those compares also notes the first part with a failing row;
+the search for a missing cross edge starts at that part, since every block
+before it (p0 included, being universal) has all its rows right.  The greedy
 builder is one loop on masks from start to end; vertex sets are built only
 for what it returns.  A failed greedy run is turned into a forbidden-triple
 witness through its pivot, never through another decider.  The result types
@@ -103,8 +106,9 @@ def _first_violation(g: Graph, masks: Sequence[int]) -> tuple[int, int, int, int
     # first internal edge; a row that fails without one misses a cross edge.
     adj = g.adj
     full = (1 << g.n) - 1
-    complete = True
-    for k, mask in enumerate(masks[1:], start=1):
+    first = 0
+    for k in range(1, len(masks)):
+        mask = masks[k]
         row = full ^ mask
         for u in _bits(mask):
             if adj[u] != row:
@@ -112,21 +116,27 @@ def _first_violation(g: Graph, masks: Sequence[int]) -> tuple[int, int, int, int
                 inside = adj[u] & mask
                 if inside:
                     return u, _low(inside), k, k
-                complete = False
-    if complete:
+                first = first or k
+    if not first:
         return None
 
-    # p0 is universal, so a missing cross edge starts in a part
-    later = full ^ masks[0]
-    for i, mask in enumerate(masks[1:], start=1):
-        later ^= mask
+    # the rows of p0 (universal) and of every part before the first failing
+    # one are right, so none of them misses an edge: the search starts there.
+    # The union of a part's non-neighbours finds the first block j it misses
+    # with one AND per block, so a large part's vertices are tried against
+    # that block alone rather than against every block before it.
+    for i in range(first, len(masks)):
+        members = _bits(masks[i])
         missed = 0
-        for u in _bits(mask):
-            missed |= later & ~adj[u]
-        if missed:
-            j = next(j for j in range(i + 1, len(masks)) if masks[j] & missed)
-            u = next(u for u in _bits(mask) if masks[j] & ~adj[u])
-            return u, _low(masks[j] & ~adj[u]), i, j
+        for u in members:
+            missed |= ~adj[u]
+        for j in range(i + 1, len(masks)):
+            later = masks[j]
+            if later & missed:
+                for u in members:
+                    hole = later & ~adj[u]
+                    if hole:
+                        return u, _low(hole), i, j
     return None
 
 

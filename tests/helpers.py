@@ -475,6 +475,34 @@ def reference_emit_edge_list(g: Graph, labels: LabelMap | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_emit_dot(
+    g: Graph, partition: CommutingPartition | None = None, labels: LabelMap | None = None
+) -> str:
+    """``emit_dot`` with one line appended per edge of :func:`reference_edges`."""
+    if labels is None:
+        labels = LabelMap.default(g.n)
+    out = ["graph G {"]
+
+    def node_line(v: int) -> str:
+        return f'  {v} [label="{labels.label(v)}"];'
+
+    if partition is None:
+        out.extend(node_line(v) for v in range(g.n))
+    else:
+        if partition.p0:
+            out += ["  subgraph cluster_p0 {", '    label="P0";', "    style=filled;"]
+            out.append("    color=lightgrey;")
+            out.extend("  " + node_line(v) for v in sorted(partition.p0))
+            out.append("  }")
+        for k, part in enumerate(partition.parts, start=1):
+            out += [f"  subgraph cluster_p{k} {{", f'    label="P{k}";', "    color=black;"]
+            out.extend("  " + node_line(v) for v in sorted(part))
+            out.append("  }")
+    out.extend(f"  {u} -- {v};" for u, v in reference_edges(g))
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
 # The graph6 codec as it was before it became one base64 pass: per-bit loops
 # over the upper triangle, single-byte size form only (n <= 62).
 

@@ -1,10 +1,19 @@
 import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given
 
-from raagv import eccentricity, new_graph, universal_vertices
+from raagv import (
+    ForbiddenTriple,
+    Graph,
+    Letter,
+    eccentricity,
+    new_graph,
+    normal_form,
+    universal_vertices,
+)
 from raagv.graphs import _bits
 from raagv.harness import random_graph
 
@@ -45,6 +54,49 @@ def test_graph_is_immutable():
     g = new_graph(2, [(0, 1)])
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.n = 5
+
+
+# Graph and ForbiddenTriple write their fields straight into the instance
+# dict; everything else about them must stay the generated dataclass code.
+@pytest.mark.parametrize(
+    "value, fields, text",
+    [
+        (Graph(3, (2, 1, 0)), {"n": 3, "adj": (2, 1, 0)}, "Graph(n=3, adj=(2, 1, 0))"),
+        (ForbiddenTriple(0, 2, 1), {"a": 0, "b": 2, "c": 1}, "ForbiddenTriple(a=0, b=2, c=1)"),
+    ],
+    ids=["Graph", "ForbiddenTriple"],
+)
+def test_result_constructors_keep_dataclass_behaviour(value, fields, text):
+    by_keywords = type(value)(**fields)
+    assert value == by_keywords and hash(value) == hash(by_keywords)
+    assert dataclasses.asdict(value) == fields
+    assert repr(value) == text
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 5)
+    assert dataclasses.replace(value) == value
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value and hash(copy) == hash(value)
+
+
+def test_triple_replace_revalidates():
+    t = ForbiddenTriple(0, 2, 1)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        dataclasses.replace(t, a=t.b)
+    with pytest.raises(ValueError, match="normalized with a < b"):
+        dataclasses.replace(t, a=3)
+    assert dataclasses.replace(t, c=3) == ForbiddenTriple(0, 2, 3)
+    assert dataclasses.replace(new_graph(2, []), adj=(2, 1)) == new_graph(2, [(0, 1)])
+
+
+def test_word_model_cache_lives_in_the_graph_dict():
+    g = new_graph(3, [(0, 1), (0, 2)])
+    w = (Letter(1, 1), Letter(0, 1), Letter(1, -1))
+    assert "_word_model" not in vars(g)
+    first = normal_form(g, w)
+    model = vars(g)["_word_model"]
+    assert normal_form(g, w) == first and vars(g)["_word_model"] is model
+    assert g == new_graph(3, [(0, 1), (0, 2)]) and hash(g) == hash(Graph(3, g.adj))
 
 
 def test_eccentricity_path():

@@ -16,13 +16,14 @@ from raagv import (
     new_graph,
     parse_edge_list,
     parse_graph6,
+    recognize_multipartite,
 )
 from raagv.cli import main
 from raagv.graphio import MAX_VERTICES
 from raagv.harness import enumerate_graphs, random_graph, random_nb_graph
 from raagv.partition import CommutingPartition
 
-from helpers import cycle_graph, forbidden_pattern_graph, graphs, near_misses
+from helpers import cycle_graph, forbidden_pattern_graph, graphs, near_misses, reference_emit_dot
 
 
 # ------------------------------------------------------------- edge lists
@@ -251,6 +252,18 @@ def test_dot_p0_cluster_is_distinguished():
     text = emit_dot(g, p)
     assert text.count("subgraph cluster_") == 2
     assert 'label="P0"' in text
+
+
+def test_dot_matches_reference_walk():
+    cases = [(new_graph(0, []), None), (forbidden_pattern_graph(), None)]
+    for n, seed in ((12, 1), (70, 2), (300, 3)):
+        member = random_nb_graph(n, seed)
+        cases += [(member, recognize_multipartite(member)), (random_graph(n, 0.5, seed), None)]
+    for g, p in cases:
+        labels = LabelMap(tuple(f"v{g.n - v}" for v in range(g.n)))
+        # split: a failing compare of strings this long diffs them for minutes
+        for names in (None, labels):
+            assert emit_dot(g, p, names).split("\n") == reference_emit_dot(g, p, names).split("\n")
 
 
 # -------------------------------------------------------------------- CLI
