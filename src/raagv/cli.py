@@ -22,10 +22,10 @@ from dataclasses import asdict
 from functools import cache
 from typing import Sequence
 
-from .graphio import LabelMap, emit_edge_list, parse_edge_list, parse_graph6
+from .graphio import MAX_VERTICES, LabelMap, emit_edge_list, parse_edge_list, parse_graph6
 from .graphs import CommutingPartition, Graph
 from .groups import Embeddable, emit_presentation, format_decomposition, verdict
-from .harness import cross_check, random_graph, random_nb_graph
+from .harness import MAX_ENUMERATION_N, cross_check, random_graph, random_nb_graph
 from .words import format_word, group_model, parse_word
 
 
@@ -155,6 +155,8 @@ def _cmd_word(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.max_n > MAX_ENUMERATION_N:  # before the sweeps below the cap, not after them
+        raise ValueError(f"enumeration supports 0 <= n <= {MAX_ENUMERATION_N}, got {args.max_n}")
     reports = [cross_check(n) for n in range(1, args.max_n + 1)]
     if args.json:
         print(json.dumps([asdict(r) for r in reports]))
@@ -169,6 +171,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    if args.n > MAX_VERTICES:  # no reader would take the graph back
+        raise ValueError(f"vertex count {args.n} exceeds the limit of {MAX_VERTICES}")
     if args.nb:
         g = random_nb_graph(args.n, args.seed)
     else:

@@ -271,6 +271,8 @@ def emit_dot(
     given, with p0 visually distinguished from the parts."""
     if labels is None:
         labels = LabelMap.default(g.n)
+    if len(labels.labels) != g.n:
+        raise ValueError("label map size does not match the graph")
     out = ["graph G {"]
 
     def node_line(v: int) -> str:

@@ -7,9 +7,14 @@ A = [[1,2],[0,1]] and B = [[1,0],[2,1]] generate a free group of rank two
 and their conjugates freely generate a free subgroup of any finite rank.
 The table from signed letters to matrices is filled in closed form:
 A^j B A^-j = [[1+4j, -8j^2], [2, 1-4j]], inverse [[1-4j, 8j^2], [-2, 1+4j]].
-The table is built once per partition object and kept on that object.
-One pass buckets the letters by part; each bucket the word fills is multiplied
-as a balanced pairwise product tree: every factor in full, in exact integers.
+The table and the sorted p0 order are built once per partition object and
+kept on that object.  One pass buckets the letters by part; every factor of a
+bucket is multiplied in full, in order, in exact integers.  A bucket of at
+most ``_FOLD_MAX`` letters is folded left to right in one loop; a longer one
+goes through a balanced pairwise product tree, which pairs factors of similar
+size instead of growing one running product a letter at a time.  Short words
+leave short buckets, where the tree's lists per level cost more than its
+balance saves.
 
 Nothing here touches the free reduction of ``words`` that this module is
 used to cross-check; only the raw letters and the partition go in.
@@ -28,6 +33,17 @@ Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 IDENTITY: Matrix = ((1, 0), (0, 1))
 
+# Buckets up to this length are folded left to right, longer ones go through
+# the product tree.  The path is chosen by bucket length, a property of the
+# input: a short word (tens of letters over several parts) leaves a few
+# letters per bucket, where the tree's lists per level cost more than its
+# balance saves; a long word (thousands of letters) leaves long buckets, where
+# the tree keeps the big-integer products balanced.  The benchmark's
+# word_certify runs both sides: its short ops have buckets of 1 to about 17
+# letters, most under 10, and its long ops of about 900 to 1,200.  16 was
+# measured: 8 saves less on short words, 32 no more.
+_FOLD_MAX = 16
+
 
 @dataclass(frozen=True)
 class MatrixImage:
@@ -45,16 +61,17 @@ class MatrixImage:
 
 def evaluate_word(p: CommutingPartition, w: Word) -> MatrixImage:
     """Evaluate the raw word in the linear model attached to the partition."""
-    table = vars(p).get("_oracle_table")
-    if table is None:  # (vertex, sign) -> (part index, generator entries a, b, c, d)
+    kept = vars(p).get("_oracle_table")
+    if kept is None:  # (vertex, sign) -> (part index, generator a, b, c, d); the p0 order
         table = {}
         for i, part in enumerate(p.parts):
             for j, v in enumerate(sorted(part)):
                 t, q = 4 * j, 8 * j * j
                 table[v, 1] = (i, (1 + t, -q, 2, 1 - t))
                 table[v, -1] = (i, (1 - t, q, -2, 1 + t))
-        vars(p)["_oracle_table"] = table
-    exps = dict.fromkeys(sorted(p.p0), 0)
+        kept = vars(p)["_oracle_table"] = table, tuple(sorted(p.p0))
+    table, p0 = kept
+    exps = dict.fromkeys(p0, 0)
     buckets: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)  # parts the word meets
     for letter in w:
         entry = table.get(letter)
@@ -70,12 +87,18 @@ def evaluate_word(p: CommutingPartition, w: Word) -> MatrixImage:
             raise ValueError(f"letter vertex {vertex} is not covered by the partition")
     mats = [IDENTITY] * len(p.parts)
     for i, ms in buckets.items():
-        while len(ms) > 1:  # adjacent pairs, in order; an odd tail pairs with the identity
+        if len(ms) <= _FOLD_MAX:  # a running product, left to right
             it = iter(ms)
-            ms = [
-                (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-                for (a, b, c, d), (e, f, g, h) in zip_longest(it, it, fillvalue=(1, 0, 0, 1))
-            ]
-        [(a, b, c, d)] = ms
+            a, b, c, d = next(it)
+            for e, f, g, h in it:
+                a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        else:
+            while len(ms) > 1:  # adjacent pairs, in order; an odd tail pairs with the identity
+                it = iter(ms)
+                ms = [
+                    (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                    for (a, b, c, d), (e, f, g, h) in zip_longest(it, it, fillvalue=(1, 0, 0, 1))
+                ]
+            [(a, b, c, d)] = ms
         mats[i] = ((a, b), (c, d))
     return MatrixImage(tuple(exps.items()), tuple(mats))

@@ -18,9 +18,10 @@ from raagv import (
     parse_graph6,
     recognize_multipartite,
 )
+from raagv import cli
 from raagv.cli import main
 from raagv.graphio import MAX_VERTICES
-from raagv.harness import enumerate_graphs, random_graph, random_nb_graph
+from raagv.harness import MAX_ENUMERATION_N, enumerate_graphs, random_graph, random_nb_graph
 from raagv.partition import CommutingPartition
 
 from helpers import cycle_graph, forbidden_pattern_graph, graphs, near_misses, reference_emit_dot
@@ -119,6 +120,14 @@ def test_edge_list_round_trip_with_labels():
 def test_emit_edge_list_label_size_mismatch():
     with pytest.raises(ValueError):
         emit_edge_list(new_graph(2, []), LabelMap(("a",)))
+
+
+@pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c", "d")])
+def test_emit_dot_label_size_mismatch(names):
+    # fewer labels than vertices, then more: the same error as emit_edge_list
+    for emit in (emit_edge_list, emit_dot):
+        with pytest.raises(ValueError, match="^label map size does not match the graph$"):
+            emit(new_graph(3, [(0, 1)]), labels=LabelMap(names))
 
 
 def test_label_map_validation():
@@ -484,6 +493,28 @@ def test_cli_enumerate_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [r["nb_count"] for r in payload] == [1, 2, 5]
     assert all(r["mismatches"] == [] for r in payload)
+
+
+def test_cli_enumerate_past_the_cap_fails_before_any_sweep(capsys, monkeypatch):
+    swept = []
+    monkeypatch.setattr(cli, "cross_check", lambda n: swept.append(n))
+    n = MAX_ENUMERATION_N + 1
+    assert main(["enumerate", "--max-n", str(n)]) == 2
+    assert swept == []
+    with pytest.raises(ValueError) as info:
+        next(enumerate_graphs(n))
+    assert capsys.readouterr() == ("", f"error: {info.value}\n")
+
+
+@pytest.mark.parametrize("nb", [[], ["--nb"]])
+def test_cli_random_past_the_vertex_limit_builds_nothing(capsys, monkeypatch, nb):
+    built = []
+    monkeypatch.setattr(cli, "random_graph", lambda n, p, seed: built.append(n) or new_graph(0, []))
+    monkeypatch.setattr(cli, "random_nb_graph", lambda n, seed: built.append(n) or new_graph(0, []))
+    assert main(["random", "--n", str(MAX_VERTICES + 1), *nb]) == 2
+    assert capsys.readouterr() == ("", f"error: vertex count 65537 exceeds the limit of {MAX_VERTICES}\n")
+    assert main(["random", "--n", str(MAX_VERTICES), *nb]) == 0  # the limit itself is built
+    assert built == [MAX_VERTICES]
 
 
 def test_cli_random_deterministic(capsys):

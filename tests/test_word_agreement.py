@@ -14,7 +14,7 @@ import pytest
 
 from raagv import CommutingPartition, Letter, canonical_partition, group_model, normal_form
 from raagv.harness import enumerate_graphs, random_nb_graph
-from raagv.matrixrep import evaluate_word
+from raagv.matrixrep import _FOLD_MAX, evaluate_word
 
 from helpers import (
     complete_graph,
@@ -86,13 +86,46 @@ def test_closed_form_generators_match_matrix_products():
 
 
 def test_product_tree_on_every_bucket_length_up_to_seventeen():
-    # lengths 0 and 1 and every odd tail of the pairwise tree, on one part
+    # lengths 0 and 1, every fold up to _FOLD_MAX = 16 letters and the first tree, on one part
     rng = random.Random(17)
     p = CommutingPartition(frozenset(), (frozenset({0, 1, 2}),))
     for length in range(18):
         for _ in range(3):
             w = tuple(Letter(rng.randrange(3), rng.choice((1, -1))) for _ in range(length))
             assert evaluate_word(p, w) == reference_evaluate_word(p, w)
+
+
+def interleave(rng: random.Random, runs) -> tuple[Letter, ...]:
+    """A random merge of the runs that keeps each run's own order."""
+    rests = [list(run) for run in runs if run]
+    w = []
+    while rests:
+        run = rng.choice(rests)
+        w.append(run.pop(0))
+        if not run:
+            rests.remove(run)
+    return tuple(w)
+
+
+def test_fold_and_tree_on_both_sides_of_the_threshold():
+    # bucket lengths: none, one, both sides of _FOLD_MAX, and a tree with an odd tail
+    lengths = (0, 1, _FOLD_MAX - 1, _FOLD_MAX, _FOLD_MAX + 1, 2 * _FOLD_MAX + 1)
+    parts = tuple(frozenset(range(2 + 3 * i, 5 + 3 * i)) for i in range(len(lengths)))
+    rng = random.Random(14)
+    for _ in range(10):
+        runs = [
+            [Letter(rng.choice(sorted(part)), rng.choice((1, -1))) for _ in range(k)]
+            for part, k in zip(parts, lengths)
+        ]
+        p0_letter = [Letter(rng.choice((0, 1)), rng.choice((1, -1)))]
+        words = [interleave(rng, runs + [p0_letter])]
+        words += [interleave(rng, [run, p0_letter]) for run in runs]  # one bucket at a time
+        for w in words:
+            p = CommutingPartition(frozenset({0, 1}), parts)  # a new object: cold, then warm
+            image = reference_evaluate_word(p, w)
+            assert evaluate_word(p, w) == image
+            assert evaluate_word(p, w) == image
+            assert sum(e != 0 for _, e in image.exponents) == 1
 
 
 def test_product_tree_keeps_operand_order():
