@@ -54,8 +54,6 @@ from .partition import (
     WrongP0,
     canonical_partition,
     greedy_partition,
-    min_pivot,
-    seeded_pivot,
     validate_partition,
 )
 from .words import (
@@ -110,7 +108,6 @@ __all__ = [
     "group_model",
     "is_nb",
     "is_trivial",
-    "min_pivot",
     "new_graph",
     "normal_form",
     "parse_edge_list",
@@ -120,7 +117,6 @@ __all__ = [
     "random_nb_graph",
     "random_partition_family",
     "recognize_multipartite",
-    "seeded_pivot",
     "universal_vertices",
     "validate_partition",
     "verdict",

@@ -155,7 +155,7 @@ def _cmd_word(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.max_n > MAX_ENUMERATION_N:  # before the sweeps below the cap, not after them
+    if not 0 <= args.max_n <= MAX_ENUMERATION_N:  # before any sweep, not after those in range
         raise ValueError(f"enumeration supports 0 <= n <= {MAX_ENUMERATION_N}, got {args.max_n}")
     reports = [cross_check(n) for n in range(1, args.max_n + 1)]
     if args.json:

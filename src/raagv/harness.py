@@ -108,10 +108,13 @@ def random_partition_family(
     independent parts, the parts ordered by minimum vertex.
 
     Singleton parts are legal; in the built graph their vertex simply comes
-    out universal and is absorbed into p0 by the canonical partition.
+    out universal and is absorbed into p0 by the canonical partition.  With
+    no vertices the family is empty.
     """
-    if n < 1:
-        raise ValueError("need at least one vertex")
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if n == 0:
+        return frozenset(), ()
     rng = random.Random(seed)
     slots = rng.randint(1, n)
     labels = [rng.randint(0, slots) for _ in range(n)]  # label 0 = universal block

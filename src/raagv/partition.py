@@ -7,7 +7,7 @@ admits one exactly when it avoids the three-vertex pattern "one edge plus a
 vertex adjacent to neither endpoint"; on such graphs the partition is unique
 as an unordered family of blocks.
 
-This module has the greedy construction (with pluggable pivot rules) and
+This module has the greedy construction (least-vertex pivots) and
 the validator for the defining conditions.  Both work on adjacency masks: a
 part is valid exactly when each of its vertices is adjacent to everything
 outside it and nothing inside it, one mask compare per vertex.  The pass
@@ -24,9 +24,8 @@ traces.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .classify import canonical_partition  # the benchmark traces it by this name
 from .graphs import CommutingPartition, ForbiddenTriple, Graph, _bits, _low, _mask, _universal_mask
@@ -140,71 +139,49 @@ def _first_violation(g: Graph, masks: Sequence[int]) -> tuple[int, int, int, int
     return None
 
 
-PivotRule = Callable[[Sequence[int]], int]
-
-
-def min_pivot(remaining: Sequence[int]) -> int:
-    """Default pivot rule: the smallest remaining vertex."""
-    return remaining[0]
-
-
-def seeded_pivot(seed: int) -> PivotRule:
-    """A pivot rule drawing uniformly from the remaining set, reproducibly."""
-    rng = random.Random(seed)
-    return lambda remaining: rng.choice(remaining)
-
-
-def _greedy(g: Graph, pivot_rule: PivotRule) -> tuple[int, list[int], list[int]]:
+def _greedy(g: Graph) -> tuple[int, list[int]]:
     """One greedy pass on masks: p0 is the eccentricity-one set, then each
-    round hands the pivot rule the ascending tuple of unassigned vertices and
-    splits off the pivot with its unassigned non-neighbors, itself included
-    (loop-free), so at most n rounds run.  Returns the p0 mask, then the
-    part masks and their pivots in discovery order."""
+    round cuts off the least unassigned vertex with its unassigned
+    non-neighbors, itself included (loop-free), so at most n rounds run.
+    Returns the p0 mask and the part masks in discovery order, which is
+    ascending by least vertex since each part's pivot is its least vertex."""
     adj = g.adj
     p0 = _universal_mask(g)
     remaining = (1 << g.n) - 1 ^ p0
     parts: list[int] = []
-    pivots: list[int] = []
     while remaining:
-        candidates = _bits(remaining)
-        w = pivot_rule(candidates)
-        if w not in candidates:
-            raise ValueError("pivot rule chose a vertex outside the remaining set")
-        part = remaining & ~adj[w]
+        part = remaining & ~adj[_low(remaining)]
         parts.append(part)
-        pivots.append(w)
         remaining ^= part
-    return p0, parts, pivots
+    return p0, parts
 
 
-def greedy_partition(
-    g: Graph, pivot_rule: PivotRule = min_pivot
-) -> CommutingPartition | ForbiddenTriple:
+def greedy_partition(g: Graph) -> CommutingPartition | ForbiddenTriple:
     """Build a commuting partition greedily, or produce a witness.
 
     The loop of :func:`_greedy` yields block masks, and each part is
     tested on them: every vertex's row must be the mask of the vertices
     outside its part.  Vertex sets are built only for a returned partition.
 
-    On graphs that admit a commuting partition every pivot rule reaches the
-    same unordered block family; the returned partition lists parts sorted by
-    minimum vertex.  When the blocks fail, the first violation and the
-    pivot w of the part it names always make a forbidden triple.  w is
-    adjacent to no vertex of its part, and to every vertex of a later part,
-    which was still unassigned when w cut its part.  So an internal edge
-    (u, v) of w's part, with u < v since a lower partner would have been
-    named first, gives (u, v, w).  A missing cross edge from u in w's part to
-    v in a later one never starts in p0, which is exactly the universal set,
-    and u != w because w is adjacent to v; it gives (min(v, w), max(v, w), u).
-    A wrong p0 cannot occur.
+    Each part is cut at the least remaining vertex, its pivot, so the parts
+    come out sorted by minimum vertex.  On graphs that admit a commuting
+    partition any pivot order would reach the same unordered block family.
+    When the blocks fail, the first violation and the pivot w of the part it
+    names always make a forbidden triple.  w is adjacent to no vertex of its
+    part, and to every vertex of a later part, which was still unassigned
+    when w cut its part.  So an internal edge (u, v) of w's part, with u < v
+    since a lower partner would have been named first, gives (u, v, w).  A
+    missing cross edge from u in w's part to v in a later one never starts
+    in p0, which is exactly the universal set, and u != w because w is
+    adjacent to v; it gives (min(v, w), max(v, w), u).  A wrong p0 cannot
+    occur.
     """
-    p0, parts, pivots = _greedy(g, pivot_rule)
+    p0, parts = _greedy(g)
     found = _first_violation(g, [p0, *parts])
     if found is None:
-        parts.sort(key=_low)
         return CommutingPartition(frozenset(_bits(p0)), tuple(frozenset(_bits(m)) for m in parts))
     u, v, i, j = found
-    w = pivots[i - 1]
+    w = _low(parts[i - 1])
     if i == j:
         return ForbiddenTriple(u, v, w)
     return ForbiddenTriple(min(v, w), max(v, w), u)

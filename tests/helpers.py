@@ -37,7 +37,7 @@ from raagv import (
 )
 from raagv import harness, partition
 from raagv.graphio import MAX_VERTICES, _assign_labels
-from raagv.graphs import _bits, _mask
+from raagv.graphs import _bits, _low, _mask
 from raagv.matrixrep import IDENTITY, Matrix, MatrixImage, evaluate_word
 
 
@@ -282,14 +282,24 @@ class GreedyRun:
     pivots: tuple[int, ...]
 
 
-def run_greedy(g: Graph, pivot_rule=partition.min_pivot) -> GreedyRun:
+def run_greedy(g: Graph) -> GreedyRun:
     """The greedy builder's loop, ``partition._greedy``, with its masks
-    turned into vertex sets."""
-    p0, parts, pivots = partition._greedy(g, pivot_rule)
-    return GreedyRun(frozenset(_bits(p0)), tuple(frozenset(_bits(m)) for m in parts), tuple(pivots))
+    turned into vertex sets; each part's pivot is its least vertex."""
+    p0, parts = partition._greedy(g)
+    blocks = tuple(frozenset(_bits(m)) for m in parts)
+    return GreedyRun(frozenset(_bits(p0)), blocks, tuple(map(_low, parts)))
 
 
-def reference_run_greedy(g: Graph, pivot_rule) -> GreedyRun:
+def seeded_pivot(seed: int):
+    """A pivot rule drawing uniformly from the remaining set, reproducibly."""
+    rng = random.Random(seed)
+    return lambda remaining: rng.choice(remaining)
+
+
+def reference_run_greedy(g: Graph, pivot_rule=min) -> GreedyRun:
+    """The greedy loop on vertex sets; ``pivot_rule`` picks each pivot from
+    the ascending tuple of unassigned vertices (by default the least, as
+    ``greedy_partition`` does)."""
     p0 = reference_universal_vertices(g)
     remaining = set(range(g.n)) - p0
     parts = []
@@ -303,7 +313,7 @@ def reference_run_greedy(g: Graph, pivot_rule) -> GreedyRun:
     return GreedyRun(p0, tuple(parts), tuple(pivots))
 
 
-def reference_greedy_partition(g: Graph, pivot_rule) -> CommutingPartition | ForbiddenTriple:
+def reference_greedy_partition(g: Graph, pivot_rule=min) -> CommutingPartition | ForbiddenTriple:
     """The greedy builder with its witness traced back through the pivot,
     checked with holds_in, and the triple scan as a fallback."""
     run = reference_run_greedy(g, pivot_rule)

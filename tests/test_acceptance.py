@@ -26,7 +26,6 @@ from raagv import (
     parse_edge_list,
     parse_graph6,
     random_nb_graph,
-    seeded_pivot,
     verdict,
 )
 from raagv.harness import enumerate_graphs, random_graph
@@ -41,6 +40,8 @@ from helpers import (
     induced_subgraph,
     matrix_is_trivial,
     random_word,
+    reference_greedy_partition,
+    seeded_pivot,
 )
 
 _reports = {}
@@ -126,8 +127,15 @@ def test_criterion_4_pivot_rule_independence():
         reference = canonical_partition(g)
         assert isinstance(reference, CommutingPartition)
         family = reference.family()
+        p = greedy_partition(g)
+        if not (isinstance(p, CommutingPartition) and p.family() == family):
+            _check(
+                4,
+                False,
+                f"greedy_partition on graph seed {i} (n = {n}) disagrees with the canonical partition",
+            )
         for rule_seed in range(100):
-            p = greedy_partition(g, seeded_pivot(rule_seed))
+            p = reference_greedy_partition(g, seeded_pivot(rule_seed))
             runs += 1
             if not (isinstance(p, CommutingPartition) and p.family() == family):
                 _check(

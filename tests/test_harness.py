@@ -17,6 +17,7 @@ from raagv import (
     random_nb_graph,
     random_partition_family,
 )
+from raagv.cli import main
 
 from helpers import (
     brute_is_nb,
@@ -158,6 +159,12 @@ def test_random_partition_family_shape():
         assert [min(p) for p in parts] == sorted(min(p) for p in parts)
 
 
-def test_random_partition_family_requires_a_vertex():
+def test_random_partition_family_of_no_vertices_is_empty(capsys):
+    assert random_partition_family(0, seed=1) == (frozenset(), ())
+    assert random_nb_graph(0, seed=1) == new_graph(0, [])
     with pytest.raises(ValueError):
-        random_partition_family(0, seed=1)
+        random_partition_family(-1, seed=1)
+    assert main(["random", "--n", "0"]) == 0
+    plain = capsys.readouterr()
+    assert main(["random", "--n", "0", "--nb"]) == 0
+    assert capsys.readouterr() == plain == ("n 0\n", "")

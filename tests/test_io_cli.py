@@ -506,6 +506,16 @@ def test_cli_enumerate_past_the_cap_fails_before_any_sweep(capsys, monkeypatch):
     assert capsys.readouterr() == ("", f"error: {info.value}\n")
 
 
+def test_cli_enumerate_below_zero_fails_before_any_sweep(capsys, monkeypatch):
+    swept = []
+    monkeypatch.setattr(cli, "cross_check", lambda n: swept.append(n))
+    assert main(["enumerate", "--max-n", "-1"]) == 2
+    assert capsys.readouterr() == ("", f"error: enumeration supports 0 <= n <= {MAX_ENUMERATION_N}, got -1\n")
+    assert main(["enumerate", "--max-n", "0"]) == 0  # the bare header: no order to sweep
+    assert capsys.readouterr().err == ""
+    assert swept == []
+
+
 @pytest.mark.parametrize("nb", [[], ["--nb"]])
 def test_cli_random_past_the_vertex_limit_builds_nothing(capsys, monkeypatch, nb):
     built = []

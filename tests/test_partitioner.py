@@ -12,9 +12,7 @@ from raagv import (
     canonical_partition,
     greedy_partition,
     is_nb,
-    min_pivot,
     new_graph,
-    seeded_pivot,
     universal_vertices,
     validate_partition,
 )
@@ -27,8 +25,9 @@ from helpers import (
     forbidden_pattern_graph,
     graphs,
     path_graph,
-    reference_run_greedy,
+    reference_greedy_partition,
     run_greedy,
+    seeded_pivot,
 )
 
 
@@ -80,7 +79,7 @@ def test_greedy_on_single_vertex():
 
 def test_greedy_parts_sorted_by_min_vertex():
     g = new_graph(5, [(1, 0), (1, 2), (1, 3), (4, 0), (4, 2), (4, 3)])
-    p = greedy_partition(g, seeded_pivot(7))
+    p = greedy_partition(g)
     assert isinstance(p, CommutingPartition)
     assert [min(part) for part in p.parts] == sorted(min(part) for part in p.parts)
 
@@ -120,15 +119,16 @@ def test_pivot_independence_on_random_members():
         g = random_nb_graph(n, seed=trial)
         reference = canonical_partition(g)
         assert isinstance(reference, CommutingPartition)
+        assert greedy_partition(g).family() == reference.family()
         for seed in range(10):
-            p = greedy_partition(g, seeded_pivot(seed))
+            p = reference_greedy_partition(g, seeded_pivot(seed))
             assert isinstance(p, CommutingPartition)
             assert p.family() == reference.family()
 
 
 def test_run_greedy_bookkeeping():
     g = cycle_graph(4)
-    run = run_greedy(g, min_pivot)
+    run = run_greedy(g)
     assert len(run.parts) == len(run.pivots) <= g.n
     for part, pivot in zip(run.parts, run.pivots):
         assert pivot in part
@@ -150,43 +150,6 @@ def test_run_greedy_always_terminates_with_disjoint_cover(g):
         assert not seen & set(block)
         seen |= set(block)
     assert seen == set(range(g.n))
-
-
-def test_misbehaving_pivot_rule_is_rejected():
-    with pytest.raises(ValueError):
-        greedy_partition(empty_graph(3), lambda remaining: 99)
-
-
-@pytest.mark.parametrize(
-    "rule",
-    [
-        lambda remaining: 5,  # not a vertex of the graph
-        lambda remaining: 4,  # the universal vertex, in p0
-        lambda remaining: 0,  # taken by the first part, chosen again in round two
-    ],
-    ids=["outside-graph", "in-p0", "earlier-part"],
-)
-def test_pivot_outside_remaining_set_error_text(rule):
-    # a 4-cycle on 0..3 plus the universal vertex 4: p0 = {4}, parts {0, 2}, {1, 3}
-    g = new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)])
-    for build in (run_greedy, greedy_partition):
-        with pytest.raises(ValueError) as err:
-            build(g, rule)
-        assert str(err.value) == "pivot rule chose a vertex outside the remaining set"
-
-
-def test_pivot_rule_receives_the_reference_ascending_tuples():
-    def offered(build, g, seed):
-        calls = []
-        choose = seeded_pivot(seed)
-        build(g, lambda remaining: calls.append(remaining) or choose(remaining))
-        return calls
-
-    for n in range(6):
-        for code, g in enumerate(enumerate_graphs(n)):
-            calls = offered(run_greedy, g, code)
-            assert calls == offered(reference_run_greedy, g, code)
-            assert all(type(r) is tuple and list(r) == sorted(set(r)) for r in calls)
 
 
 def test_validate_accepts_good_partition():
