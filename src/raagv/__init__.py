@@ -9,115 +9,23 @@ decides the class, produces the partition, the group decomposition and
 witnesses, and solves the word problem on the embeddable side.
 """
 
-from .classify import ForbiddenTriple, find_forbidden_triple, is_nb, recognize_multipartite
-from .graphio import (
-    LabelMap,
-    ParseError,
-    emit_dot,
-    emit_edge_list,
-    emit_graph6,
-    parse_edge_list,
-    parse_graph6,
-)
-from .graphs import (
-    Graph,
-    eccentricity,
-    new_graph,
-    universal_vertices,
-)
-from .groups import (
-    Embeddable,
-    GroupDecomposition,
-    NotEmbeddable,
-    Verdict,
-    canonical_form,
-    decompose,
-    emit_presentation,
-    format_decomposition,
-    verdict,
-)
-from .harness import (
-    CrossCheckReport,
-    Mismatch,
-    cross_check,
-    enumerate_graphs,
-    graph_from_family,
-    random_graph,
-    random_nb_graph,
-    random_partition_family,
-)
-from .partition import (
-    CommutingPartition,
-    InternalEdge,
-    MissingCrossEdge,
-    Violation,
-    WrongP0,
-    canonical_partition,
-    greedy_partition,
-    validate_partition,
-)
-from .words import (
-    GroupModel,
-    Letter,
-    NormalForm,
-    Word,
-    format_word,
-    group_model,
-    is_trivial,
-    normal_form,
-    parse_word,
-)
+from .graphs import *
+from .classify import *
+from .partition import *
+from .groups import *
+from .words import *
+from .harness import *
+from .graphio import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CommutingPartition",
-    "CrossCheckReport",
-    "Embeddable",
-    "ForbiddenTriple",
-    "Graph",
-    "GroupModel",
-    "GroupDecomposition",
-    "InternalEdge",
-    "LabelMap",
-    "Letter",
-    "Mismatch",
-    "MissingCrossEdge",
-    "NormalForm",
-    "NotEmbeddable",
-    "ParseError",
-    "Verdict",
-    "Violation",
-    "Word",
-    "WrongP0",
-    "canonical_form",
-    "canonical_partition",
-    "cross_check",
-    "decompose",
-    "eccentricity",
-    "emit_dot",
-    "emit_edge_list",
-    "emit_graph6",
-    "emit_presentation",
-    "enumerate_graphs",
-    "find_forbidden_triple",
-    "format_decomposition",
-    "format_word",
-    "graph_from_family",
-    "greedy_partition",
-    "group_model",
-    "is_nb",
-    "is_trivial",
-    "new_graph",
-    "normal_form",
-    "parse_edge_list",
-    "parse_graph6",
-    "parse_word",
-    "random_graph",
-    "random_nb_graph",
-    "random_partition_family",
-    "recognize_multipartite",
-    "universal_vertices",
-    "validate_partition",
-    "verdict",
-]
+# each module's __all__ lists the names it defines; importing a submodule binds it here
+__all__ = (
+    graphs.__all__
+    + classify.__all__
+    + partition.__all__
+    + groups.__all__
+    + words.__all__
+    + harness.__all__
+    + graphio.__all__
+)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from .graphs import CommutingPartition, ForbiddenTriple, Graph, _bits, _low
 
+__all__ = ("canonical_partition", "find_forbidden_triple", "is_nb", "recognize_multipartite")
+
 
 def find_forbidden_triple(g: Graph) -> ForbiddenTriple | None:
     """The least witness triple, or None when the graph has none.

@@ -24,6 +24,11 @@ from dataclasses import dataclass
 
 from .graphs import CommutingPartition, Graph, _bits
 
+__all__ = (
+    "LabelMap", "ParseError", "emit_dot", "emit_edge_list", "emit_graph6", "parse_edge_list",
+    "parse_graph6",
+)
+
 
 # Largest vertex count an edge-list or graph6 header may declare.  The count
 # sizes the tables and the adjacency list before any edge is read, so an
@@ -46,7 +51,8 @@ class ParseError(ValueError):
 @dataclass(frozen=True)
 class LabelMap:
     """Vertex index -> external label.  Labels are unique, nonempty and free
-    of whitespace; the default map labels vertex v with str(v)."""
+    of whitespace and of ``#``, which would start a comment in the edge list;
+    the default map labels vertex v with str(v)."""
 
     labels: tuple[str, ...]
 
@@ -54,6 +60,8 @@ class LabelMap:
         for s in self.labels:
             if s.split() != [s]:
                 raise ValueError(f"label {s!r} is empty or contains whitespace")
+            if "#" in s:
+                raise ValueError(f"label {s!r} contains '#', which starts a comment")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
 
@@ -268,7 +276,8 @@ def emit_dot(
     labels: LabelMap | None = None,
 ) -> str:
     """DOT text for the graph; blocks render as clusters when a partition is
-    given, with p0 visually distinguished from the parts."""
+    given, with p0 visually distinguished from the parts.  A label's ``\\``
+    and ``"`` are escaped inside its quotes."""
     if labels is None:
         labels = LabelMap.default(g.n)
     if len(labels.labels) != g.n:
@@ -276,26 +285,18 @@ def emit_dot(
     out = ["graph G {"]
 
     def node_line(v: int) -> str:
-        return f'  {v} [label="{labels.label(v)}"];'
+        label = labels.label(v).replace("\\", "\\\\").replace('"', '\\"')
+        return f'  {v} [label="{label}"];'
 
     if partition is None:
-        for v in range(g.n):
-            out.append(node_line(v))
+        out.extend(map(node_line, range(g.n)))
     else:
-        if partition.p0:
-            out.append("  subgraph cluster_p0 {")
-            out.append('    label="P0";')
-            out.append("    style=filled;")
-            out.append("    color=lightgrey;")
-            for v in sorted(partition.p0):
-                out.append("  " + node_line(v))
-            out.append("  }")
-        for k, part in enumerate(partition.parts, start=1):
-            out.append(f"  subgraph cluster_p{k} {{")
-            out.append(f'    label="P{k}";')
-            out.append("    color=black;")
-            for v in sorted(part):
-                out.append("  " + node_line(v))
+        for k, block in enumerate(partition.blocks()):
+            if not block:  # only p0 can be empty
+                continue
+            out += [f"  subgraph cluster_p{k} {{", f'    label="P{k}";']
+            out += ["    style=filled;", "    color=lightgrey;"] if k == 0 else ["    color=black;"]
+            out.extend("  " + node_line(v) for v in sorted(block))
             out.append("  }")
     ends = [f"{v};" for v in range(g.n)]
     for u, row in enumerate(g.adj):

@@ -11,7 +11,9 @@ the rest.
 
 The deciders' two result types live here too, so that no decider imports
 another: :class:`CommutingPartition` for a graph that avoids the forbidden
-pattern and :class:`ForbiddenTriple` for one that does not.
+pattern and :class:`ForbiddenTriple` for one that does not.  So does the
+check that a partition's blocks partition the vertices, which the partition
+validator and both word solvers share.
 
 :class:`Graph` and :class:`ForbiddenTriple` are built once or twice per
 graph of an exhaustive sweep, so each has a hand-written ``__init__`` that
@@ -30,6 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
+
+__all__ = (
+    "CommutingPartition", "ForbiddenTriple", "Graph", "eccentricity", "new_graph",
+    "universal_vertices",
+)
 
 
 @dataclass(frozen=True, init=False)
@@ -148,6 +155,26 @@ def _mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def _block_masks(p: CommutingPartition, n: int) -> list[int]:
+    """The masks of p's blocks, p0 first.  Raises ValueError unless the
+    blocks partition 0..n-1: a vertex out of range, then an overlap, each
+    found block by block, then a vertex no block covers."""
+    masks = []
+    union = 0
+    for block in p.blocks():
+        for v in block:
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} is outside 0..{n - 1}")
+        mask = _mask(block)
+        if union & mask:
+            raise ValueError("blocks overlap")
+        union |= mask
+        masks.append(mask)
+    if union != (1 << n) - 1:
+        raise ValueError("blocks do not cover the vertex set")
+    return masks
 
 
 def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -14,6 +14,11 @@ from dataclasses import dataclass
 from .classify import canonical_partition
 from .graphs import CommutingPartition, ForbiddenTriple, Graph, _bits
 
+__all__ = (
+    "Embeddable", "GroupDecomposition", "NotEmbeddable", "Verdict", "canonical_form", "decompose",
+    "emit_presentation", "format_decomposition", "verdict",
+)
+
 
 @dataclass(frozen=True)
 class GroupDecomposition:

@@ -20,6 +20,11 @@ from .classify import find_forbidden_triple, recognize_multipartite
 from .graphs import CommutingPartition, Graph, _mask, new_graph
 from .partition import greedy_partition
 
+__all__ = (
+    "CrossCheckReport", "Mismatch", "cross_check", "enumerate_graphs", "graph_from_family",
+    "random_graph", "random_nb_graph", "random_partition_family",
+)
+
 MAX_ENUMERATION_N = 8
 
 

@@ -26,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .graphs import CommutingPartition
+from .graphs import CommutingPartition, _block_masks
 from .words import Word
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
@@ -60,9 +60,12 @@ class MatrixImage:
 
 
 def evaluate_word(p: CommutingPartition, w: Word) -> MatrixImage:
-    """Evaluate the raw word in the linear model attached to the partition."""
+    """Evaluate the raw word in the linear model attached to the partition.
+    Raises ValueError when the blocks do not partition 0..n-1, n being the
+    number of vertices they hold, or at a letter outside the model."""
     kept = vars(p).get("_oracle_table")
     if kept is None:  # (vertex, sign) -> (part index, generator a, b, c, d); the p0 order
+        _block_masks(p, len(p.p0) + sum(map(len, p.parts)))
         table = {}
         for i, part in enumerate(p.parts):
             for j, v in enumerate(sorted(part)):

@@ -28,7 +28,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .classify import canonical_partition  # the benchmark traces it by this name
-from .graphs import CommutingPartition, ForbiddenTriple, Graph, _bits, _low, _mask, _universal_mask
+from .graphs import (
+    CommutingPartition, ForbiddenTriple, Graph, _bits, _block_masks, _low, _universal_mask,
+)
+
+__all__ = (
+    "InternalEdge", "MissingCrossEdge", "Violation", "WrongP0", "greedy_partition",
+    "validate_partition",
+)
 
 
 @dataclass(frozen=True)
@@ -71,20 +78,7 @@ def validate_partition(g: Graph, p: CommutingPartition) -> Violation | None:
     Raises ValueError when the blocks are not a partition of g's vertex set
     (overlap or non-coverage); that is a malformed input, not a Violation.
     """
-    masks = []
-    union = 0
-    for block in p.blocks():
-        for v in block:
-            if not 0 <= v < g.n:
-                raise ValueError(f"vertex {v} is outside 0..{g.n - 1}")
-        mask = _mask(block)
-        if union & mask:
-            raise ValueError("blocks overlap")
-        union |= mask
-        masks.append(mask)
-    if union != (1 << g.n) - 1:
-        raise ValueError("blocks do not cover the vertex set")
-
+    masks = _block_masks(p, g.n)
     ecc_one = _universal_mask(g)
     if masks[0] != ecc_one:
         v = _low(masks[0] ^ ecc_one)

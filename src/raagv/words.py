@@ -19,7 +19,12 @@ from typing import NamedTuple
 
 from .classify import canonical_partition
 from .graphio import _SIGNED_INT, _echo
-from .graphs import CommutingPartition, ForbiddenTriple, Graph
+from .graphs import CommutingPartition, ForbiddenTriple, Graph, _block_masks
+
+__all__ = (
+    "GroupModel", "Letter", "NormalForm", "Word", "format_word", "group_model", "is_trivial",
+    "normal_form", "parse_word",
+)
 
 
 class Letter(NamedTuple):
@@ -96,14 +101,17 @@ def _check_word(n: int, w: Word) -> None:
 def group_model(outcome: CommutingPartition | ForbiddenTriple) -> GroupModel:
     """The model of an outcome of :func:`canonical_partition`.  A forbidden
     triple raises ValueError: the group is then no direct product of free
-    groups and this solver does not apply."""
+    groups and this solver does not apply.  So do blocks that do not
+    partition 0..n-1, n being the number of vertices they hold."""
     if isinstance(outcome, ForbiddenTriple):
         raise ValueError(
             "word problem is only solved for graphs avoiding the forbidden "
             f"pattern; found edge ({outcome.a}, {outcome.b}) with vertex "
             f"{outcome.c} adjacent to neither endpoint"
         )
-    owner = [-1] * (len(outcome.p0) + sum(map(len, outcome.parts)))
+    n = len(outcome.p0) + sum(map(len, outcome.parts))
+    _block_masks(outcome, n)
+    owner = [-1] * n
     for i, part in enumerate(outcome.parts):
         for v in part:
             owner[v] = i

@@ -494,7 +494,8 @@ def reference_emit_dot(
     out = ["graph G {"]
 
     def node_line(v: int) -> str:
-        return f'  {v} [label="{labels.label(v)}"];'
+        label = labels.label(v).replace("\\", "\\\\").replace('"', '\\"')
+        return f'  {v} [label="{label}"];'
 
     if partition is None:
         out.extend(node_line(v) for v in range(g.n))

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raagv import (
     Graph,
@@ -137,6 +138,33 @@ def test_label_map_validation():
         LabelMap(("a b",))
     with pytest.raises(ValueError):
         LabelMap(("",))
+    # the parser would read "e a#b c" as "e a": a label with # cannot round-trip
+    with pytest.raises(ValueError, match=r"^label 'a#b' contains '#', which starts a comment$"):
+        LabelMap(("a#b", "c", "d"))
+
+
+# a comment sign, DOT's quote and escape, a space, digits that read as vertex
+# numbers and the letters of the two directives
+LABEL_CHARS = 'ab01en_#"\\ '
+
+
+@given(graphs(max_n=6), st.data())
+@settings(max_examples=300)
+def test_every_accepted_label_map_round_trips(g, data):
+    label = st.text(LABEL_CHARS, min_size=1, max_size=3)
+    names = data.draw(st.lists(label, min_size=g.n, max_size=g.n, unique=True))
+    try:
+        labels = LabelMap(tuple(names))
+    except ValueError:
+        assert any(" " in s or "#" in s for s in names)
+        return
+    back, back_labels = parse_edge_list(emit_edge_list(g, labels))
+
+    def labelled_edges(graph, label_map):
+        return {frozenset((label_map.label(u), label_map.label(v))) for u, v in graph.edges()}
+
+    assert back.n == g.n
+    assert labelled_edges(back, back_labels) == labelled_edges(g, labels)
 
 
 # ----------------------------------------------------------------- graph6
@@ -261,6 +289,16 @@ def test_dot_p0_cluster_is_distinguished():
     text = emit_dot(g, p)
     assert text.count("subgraph cluster_") == 2
     assert 'label="P0"' in text
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    g = new_graph(3, [(0, 1), (1, 2)])
+    labels = LabelMap(('a"b', "c\\", "d"))
+    lines = emit_dot(g, labels=labels).split("\n")
+    assert '  0 [label="a\\"b"];' in lines
+    assert '  1 [label="c\\\\"];' in lines  # the closing quote stays a quote
+    p = CommutingPartition(frozenset({1}), (frozenset({0, 2}),))
+    assert emit_dot(g, p, labels) == reference_emit_dot(g, p, labels)
 
 
 def test_dot_matches_reference_walk():

@@ -6,6 +6,10 @@ another, so none may reach another through an import: ``classify`` and
 ``partition`` takes from ``classify`` only the name ``canonical_partition``,
 which none of its functions calls.  The imports are read with ``ast`` from
 every position in each file, so a late or conditional import counts too.
+
+Each module that ``raagv`` re-exports lists the public names it defines in
+its own ``__all__``; ``raagv/__init__.py`` star-imports those modules and
+joins their lists, so every public name is declared once, where it lives.
 """
 
 import ast
@@ -14,6 +18,8 @@ from pathlib import Path
 
 import raagv
 from raagv import classify, partition
+
+REEXPORTED = ("graphs", "classify", "partition", "groups", "words", "harness", "graphio")
 
 
 @cache
@@ -105,3 +111,51 @@ def test_partition_takes_only_canonical_partition_from_classify():
 
 def test_partition_binds_the_classify_function():
     assert partition.canonical_partition is classify.canonical_partition
+
+
+def declared(name: str) -> list[str]:
+    """The names in a module's top-level ``__all__``, read with ``ast``."""
+    for node in modules()[name].body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
+            return list(ast.literal_eval(node.value))
+    raise AssertionError(f"{name}.py declares no __all__")
+
+
+def test_each_declared_name_is_defined_at_its_module_top_level():
+    for name in REEXPORTED:
+        defined = set()
+        for node in modules()[name].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.add(node.target.id)
+        missing = set(declared(name)) - defined
+        assert not missing, f"{name}.__all__ names {sorted(missing)}, which it does not define"
+
+
+def test_package_all_is_the_union_of_the_module_lists():
+    union = [public for name in REEXPORTED for public in declared(name)]
+    assert len(set(union)) == len(union), "a name is declared in two modules"
+    assert len(set(raagv.__all__)) == len(raagv.__all__)
+    assert set(raagv.__all__) == set(union)
+
+
+def test_star_import_binds_each_name_from_its_home_module():
+    namespace: dict = {}
+    exec("from raagv import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(raagv.__all__)
+    for name in REEXPORTED:
+        home = getattr(raagv, name)
+        for public in declared(name):
+            assert namespace[public] is getattr(home, public), f"{public} is not {name}.{public}"
+
+
+def test_init_imports_only_modules_and_star():
+    for node in ast.walk(modules()["__init__"]):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            assert names == ["*"] or set(names) <= set(modules()), f"line {node.lineno}: {names}"
+        else:
+            assert not isinstance(node, ast.Import), f"line {node.lineno}"

@@ -11,10 +11,12 @@ from raagv import (
     Letter,
     canonical_partition,
     format_word,
+    group_model,
     is_trivial,
     new_graph,
     normal_form,
     parse_word,
+    validate_partition,
 )
 from raagv import words
 from raagv.harness import random_nb_graph
@@ -282,6 +284,27 @@ def test_matrix_rejects_uncovered_vertex():
     p = CommutingPartition(frozenset({0}), (frozenset({1, 2}),))
     with pytest.raises(ValueError):
         evaluate_word(p, (Letter(5, 1),))
+
+
+@pytest.mark.parametrize(
+    "p0, parts, text",
+    [
+        ((), ({5},), "vertex 5 is outside 0..0"),  # one vertex held, so n = 1
+        ((0,), ({0},), "blocks overlap"),  # 0 in p0 and in part 0
+        ((0,), ({0, 1},), "blocks overlap"),  # p0 exponents would miss a letter on 0
+    ],
+)
+def test_solvers_reject_blocks_that_are_no_partition(p0, parts, text):
+    p = CommutingPartition(frozenset(p0), tuple(map(frozenset, parts)))
+    g = new_graph(len(p0) + sum(map(len, parts)), [])
+    for call in (
+        lambda: validate_partition(g, p),  # the validator's own text
+        lambda: group_model(p),
+        lambda: evaluate_word(p, (Letter(0, 1), Letter(0, 1))),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == text
 
 
 def test_matrix_oracle_agrees_on_random_words():
