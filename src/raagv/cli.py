@@ -35,7 +35,8 @@ def _load_graph(path: str, fmt: str) -> tuple[Graph, LabelMap]:
         with open(path, "rb") as fh:
             g = parse_graph6(fh.read().replace(b"\r", b"\n").strip(b"\t\n\v\f\x1c\x1d\x1e\x1f "))
         return g, LabelMap.default(g.n)
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a byte-order mark that some editors write at the start
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_edge_list(fh.read())
 
 

@@ -157,13 +157,14 @@ def _mask(vertices: Iterable[int]) -> int:
     return m
 
 
-def _block_masks(p: CommutingPartition, n: int) -> list[int]:
-    """The masks of p's blocks, p0 first.  Raises ValueError unless the
-    blocks partition 0..n-1: a vertex out of range, then an overlap, each
-    found block by block, then a vertex no block covers."""
+def _block_masks(blocks: Iterable[Iterable[int]], n: int) -> list[int]:
+    """The masks of the blocks, in their order (p0 first where that
+    matters).  Raises ValueError unless the blocks partition 0..n-1: a
+    vertex out of range, then an overlap, each found block by block, then a
+    vertex no block covers.  Empty blocks are allowed."""
     masks = []
     union = 0
-    for block in p.blocks():
+    for block in blocks:
         for v in block:
             if not 0 <= v < n:
                 raise ValueError(f"vertex {v} is outside 0..{n - 1}")

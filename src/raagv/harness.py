@@ -17,7 +17,7 @@ from operator import or_
 from typing import Iterator
 
 from .classify import find_forbidden_triple, recognize_multipartite
-from .graphs import CommutingPartition, Graph, _mask, new_graph
+from .graphs import CommutingPartition, Graph, _bits, _block_masks, new_graph
 from .partition import greedy_partition
 
 __all__ = (
@@ -140,22 +140,15 @@ def graph_from_family(
     """The complete-multipartite-plus-universal graph realizing the blocks:
     p0 vertices are joined to everything, parts span no internal edge, and
     all cross-block pairs are joined.  Each row is one mask: everything but
-    the vertex itself for p0, everything outside the part for a part."""
-    seen = 0
-    for block in (p0, *parts):
-        for v in block:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} is outside 0..{n - 1}")
-            if seen >> v & 1:
-                raise ValueError(f"vertex {v} appears in two blocks")
-            seen |= 1 << v
-    if seen.bit_count() != n:
-        raise ValueError("blocks must cover all vertices")
+    the vertex itself for p0, everything outside the part for a part.
+    Raises ValueError unless the blocks partition 0..n-1; empty parts are
+    allowed."""
+    masks = _block_masks((p0, *parts), n)
     full = (1 << n) - 1
     adj = [full ^ 1 << v for v in range(n)]
-    for part in parts:
-        row = full & ~_mask(part)
-        for v in part:
+    for mask in masks[1:]:
+        row = full ^ mask
+        for v in _bits(mask):
             adj[v] = row
     return Graph(n, tuple(adj))
 

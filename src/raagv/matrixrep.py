@@ -65,7 +65,7 @@ def evaluate_word(p: CommutingPartition, w: Word) -> MatrixImage:
     number of vertices they hold, or at a letter outside the model."""
     kept = vars(p).get("_oracle_table")
     if kept is None:  # (vertex, sign) -> (part index, generator a, b, c, d); the p0 order
-        _block_masks(p, len(p.p0) + sum(map(len, p.parts)))
+        _block_masks(p.blocks(), len(p.p0) + sum(map(len, p.parts)))
         table = {}
         for i, part in enumerate(p.parts):
             for j, v in enumerate(sorted(part)):

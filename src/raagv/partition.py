@@ -14,12 +14,15 @@ outside it and nothing inside it, one mask compare per vertex.  The pass
 that makes those compares also notes the first part with a failing row;
 the search for a missing cross edge starts at that part, since every block
 before it (p0 included, being universal) has all its rows right.  The greedy
-builder is one loop on masks from start to end; vertex sets are built only
-for what it returns.  A failed greedy run is turned into a forbidden-triple
-witness through its pivot, never through another decider.  The result types
-come from :mod:`raagv.graphs`; ``canonical_partition`` lives in
-:mod:`raagv.classify` and is bound here only under the name the benchmark
-traces.
+builder makes those compares on each part as soon as it cuts it, so it
+stops at the first internal edge without cutting the rest, and it searches
+for a missing cross edge only after the last cut.  It returns the parts and
+the witness that cutting everything first and validating after would give;
+vertex sets are built only for what it returns.  A failed greedy run is
+turned into a forbidden-triple witness through its pivot, never through
+another decider.  The result types come from :mod:`raagv.graphs`;
+``canonical_partition`` lives in :mod:`raagv.classify` and is bound here
+only under the name the benchmark traces.
 """
 
 from __future__ import annotations
@@ -78,22 +81,11 @@ def validate_partition(g: Graph, p: CommutingPartition) -> Violation | None:
     Raises ValueError when the blocks are not a partition of g's vertex set
     (overlap or non-coverage); that is a malformed input, not a Violation.
     """
-    masks = _block_masks(p, g.n)
+    masks = _block_masks(p.blocks(), g.n)
     ecc_one = _universal_mask(g)
     if masks[0] != ecc_one:
         v = _low(masks[0] ^ ecc_one)
         return WrongP0(v, should_be_in_p0=bool(ecc_one >> v & 1))
-    found = _first_violation(g, masks)
-    if found is None:
-        return None
-    u, v, i, j = found
-    return InternalEdge(u, v, i) if i == j else MissingCrossEdge(u, v, (i, j))
-
-
-def _first_violation(g: Graph, masks: Sequence[int]) -> tuple[int, int, int, int] | None:
-    """The first internal or missing cross edge, in :func:`validate_partition`'s
-    order, of block masks that partition g, masks[0] universal: (u, v, i, j)
-    with u in block i and v in block j, and j == i for an internal edge."""
     # the blocks are valid iff every part vertex's row is precisely the
     # vertices outside its part.  One pass in the documented order finds the
     # first internal edge; a row that fails without one misses a cross edge.
@@ -108,16 +100,25 @@ def _first_violation(g: Graph, masks: Sequence[int]) -> tuple[int, int, int, int
                 # an edge to a lower vertex of the part would have been named first
                 inside = adj[u] & mask
                 if inside:
-                    return u, _low(inside), k, k
+                    return InternalEdge(u, _low(inside), k)
                 first = first or k
     if not first:
         return None
+    u, v, i, j = _missing_cross_edge(g, masks, first)
+    return MissingCrossEdge(u, v, (i, j))
 
+
+def _missing_cross_edge(g: Graph, masks: Sequence[int], first: int) -> tuple[int, int, int, int]:
+    """The first missing cross edge, in :func:`validate_partition`'s order, of
+    block masks that partition g with masks[0] universal and no internal
+    edge: (u, v, i, j) with u in block i < j and v in block j.  ``first`` is
+    the first part with a failing row, so one exists."""
     # the rows of p0 (universal) and of every part before the first failing
     # one are right, so none of them misses an edge: the search starts there.
     # The union of a part's non-neighbours finds the first block j it misses
     # with one AND per block, so a large part's vertices are tried against
     # that block alone rather than against every block before it.
+    adj = g.adj
     for i in range(first, len(masks)):
         members = _bits(masks[i])
         missed = 0
@@ -130,52 +131,63 @@ def _first_violation(g: Graph, masks: Sequence[int]) -> tuple[int, int, int, int
                     hole = later & ~adj[u]
                     if hole:
                         return u, _low(hole), i, j
-    return None
-
-
-def _greedy(g: Graph) -> tuple[int, list[int]]:
-    """One greedy pass on masks: p0 is the eccentricity-one set, then each
-    round cuts off the least unassigned vertex with its unassigned
-    non-neighbors, itself included (loop-free), so at most n rounds run.
-    Returns the p0 mask and the part masks in discovery order, which is
-    ascending by least vertex since each part's pivot is its least vertex."""
-    adj = g.adj
-    p0 = _universal_mask(g)
-    remaining = (1 << g.n) - 1 ^ p0
-    parts: list[int] = []
-    while remaining:
-        part = remaining & ~adj[_low(remaining)]
-        parts.append(part)
-        remaining ^= part
-    return p0, parts
+    raise AssertionError("a failing row without an internal edge misses a cross edge")
 
 
 def greedy_partition(g: Graph) -> CommutingPartition | ForbiddenTriple:
     """Build a commuting partition greedily, or produce a witness.
 
-    The loop of :func:`_greedy` yields block masks, and each part is
-    tested on them: every vertex's row must be the mask of the vertices
-    outside its part.  Vertex sets are built only for a returned partition.
+    One loop cuts the parts and checks each as soon as it is cut.  The
+    pivot w is the least unassigned vertex and its part is w with its
+    unassigned non-neighbours; a part {w} alone, with w adjacent to every
+    other vertex (n > 1), goes to p0 instead.  Every other vertex u of the
+    part must have the vertices outside the part as its row.  At the first
+    u with an edge inside the part, to v say, (u, v, w) is returned: u < v,
+    since a lower partner would have been met first, and w is adjacent to
+    neither.  A row that fails without an inside edge misses a cross edge;
+    the first part holding one is noted, and after the last cut the search
+    for the missing edge starts there.  Vertex sets are built only for a
+    returned partition.
 
-    Each part is cut at the least remaining vertex, its pivot, so the parts
-    come out sorted by minimum vertex.  On graphs that admit a commuting
-    partition any pivot order would reach the same unordered block family.
-    When the blocks fail, the first violation and the pivot w of the part it
-    names always make a forbidden triple.  w is adjacent to no vertex of its
-    part, and to every vertex of a later part, which was still unassigned
-    when w cut its part.  So an internal edge (u, v) of w's part, with u < v
-    since a lower partner would have been named first, gives (u, v, w).  A
-    missing cross edge from u in w's part to v in a later one never starts
-    in p0, which is exactly the universal set, and u != w because w is
-    adjacent to v; it gives (min(v, w), max(v, w), u).  A wrong p0 cannot
-    occur.
+    This returns what cutting every part first and then checking them in
+    :func:`validate_partition`'s order would.  A universal vertex is
+    adjacent to every pivot, so it joins no other vertex's part, and at its
+    own turn its part is itself: p0 and the parts come out the same, in the
+    same order, ascending by least vertex.  The parts are checked in that
+    order, so the first internal edge met is the validator's first.  The
+    pivots are not checked: a pivot w's row has no inside edge, and it
+    fails only by missing some x of an earlier part, whose row then fails
+    too (x is not that part's pivot, which would have taken w into its
+    part).  A missing cross edge from u in w's part to v in a later one
+    never starts in p0, which is exactly the universal set, and u != w
+    because w is adjacent to v; it gives (min(v, w), max(v, w), u).  On
+    graphs that admit a commuting partition any pivot order would reach the
+    same unordered block family.
     """
-    p0, parts = _greedy(g)
-    found = _first_violation(g, [p0, *parts])
-    if found is None:
+    adj = g.adj
+    full = (1 << g.n) - 1
+    p0 = 0
+    parts: list[int] = []
+    first = 0
+    remaining = full
+    while remaining:
+        pivot = remaining & -remaining
+        w = pivot.bit_length() - 1
+        part = remaining & ~adj[w]
+        remaining ^= part
+        if part == pivot and adj[w] | pivot == full and g.n > 1:
+            p0 |= pivot
+            continue
+        parts.append(part)
+        row = full ^ part
+        for u in _bits(part ^ pivot):
+            if adj[u] != row:
+                inside = adj[u] & part
+                if inside:
+                    return ForbiddenTriple(u, _low(inside), w)
+                first = first or len(parts)
+    if not first:
         return CommutingPartition(frozenset(_bits(p0)), tuple(frozenset(_bits(m)) for m in parts))
-    u, v, i, j = found
+    u, v, i, _ = _missing_cross_edge(g, [p0, *parts], first)
     w = _low(parts[i - 1])
-    if i == j:
-        return ForbiddenTriple(u, v, w)
     return ForbiddenTriple(min(v, w), max(v, w), u)

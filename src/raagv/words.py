@@ -110,7 +110,7 @@ def group_model(outcome: CommutingPartition | ForbiddenTriple) -> GroupModel:
             f"{outcome.c} adjacent to neither endpoint"
         )
     n = len(outcome.p0) + sum(map(len, outcome.parts))
-    _block_masks(outcome, n)
+    _block_masks(outcome.blocks(), n)
     owner = [-1] * n
     for i, part in enumerate(outcome.parts):
         for v in part:

@@ -35,9 +35,9 @@ from raagv import (
     new_graph,
     recognize_multipartite,
 )
-from raagv import harness, partition
+from raagv import harness
 from raagv.graphio import MAX_VERTICES, _assign_labels
-from raagv.graphs import _bits, _low, _mask
+from raagv.graphs import _bits, _low, _mask, _universal_mask
 from raagv.matrixrep import IDENTITY, Matrix, MatrixImage, evaluate_word
 
 
@@ -283,9 +283,9 @@ class GreedyRun:
 
 
 def run_greedy(g: Graph) -> GreedyRun:
-    """The greedy builder's loop, ``partition._greedy``, with its masks
+    """The cut loop of :func:`two_phase_greedy_partition`, with its masks
     turned into vertex sets; each part's pivot is its least vertex."""
-    p0, parts = partition._greedy(g)
+    p0, parts = two_phase_cuts(g)
     blocks = tuple(frozenset(_bits(m)) for m in parts)
     return GreedyRun(frozenset(_bits(p0)), blocks, tuple(map(_low, parts)))
 
@@ -348,6 +348,74 @@ def _reference_witness(run: GreedyRun, violation) -> ForbiddenTriple | None:
     return None
 
 
+# ------------------------------------------------------ two-phase greedy
+#
+# The mask-level greedy builder as it was before it checked each part as it
+# cut it: the universal pass, every cut, then the validator's first
+# violation over all the blocks, and the witness through the pivot.
+# greedy_partition must return exactly what this returns.
+
+
+def two_phase_cuts(g: Graph) -> tuple[int, list[int]]:
+    """p0 is the eccentricity-one set; then each round cuts off the least
+    unassigned vertex with its unassigned non-neighbours.  Returns the p0
+    mask and the part masks in cut order."""
+    adj = g.adj
+    p0 = _universal_mask(g)
+    remaining = (1 << g.n) - 1 ^ p0
+    parts: list[int] = []
+    while remaining:
+        part = remaining & ~adj[_low(remaining)]
+        parts.append(part)
+        remaining ^= part
+    return p0, parts
+
+
+def two_phase_first_violation(g: Graph, masks: list[int]) -> tuple[int, int, int, int] | None:
+    """The first internal or missing cross edge, in ``validate_partition``'s
+    order, of block masks that partition g, masks[0] universal: (u, v, i, j)
+    with u in block i and v in block j, and j == i for an internal edge."""
+    adj = g.adj
+    full = (1 << g.n) - 1
+    first = 0
+    for k in range(1, len(masks)):
+        mask = masks[k]
+        row = full ^ mask
+        for u in _bits(mask):
+            if adj[u] != row:
+                inside = adj[u] & mask
+                if inside:
+                    return u, _low(inside), k, k
+                first = first or k
+    if not first:
+        return None
+    for i in range(first, len(masks)):
+        members = _bits(masks[i])
+        missed = 0
+        for u in members:
+            missed |= ~adj[u]
+        for j in range(i + 1, len(masks)):
+            later = masks[j]
+            if later & missed:
+                for u in members:
+                    hole = later & ~adj[u]
+                    if hole:
+                        return u, _low(hole), i, j
+    return None
+
+
+def two_phase_greedy_partition(g: Graph) -> CommutingPartition | ForbiddenTriple:
+    p0, parts = two_phase_cuts(g)
+    found = two_phase_first_violation(g, [p0, *parts])
+    if found is None:
+        return CommutingPartition(frozenset(_bits(p0)), tuple(frozenset(_bits(m)) for m in parts))
+    u, v, i, j = found
+    w = _low(parts[i - 1])
+    if i == j:
+        return ForbiddenTriple(u, v, w)
+    return ForbiddenTriple(min(v, w), max(v, w), u)
+
+
 # ------------------------------------------------------ perturbed graphs
 
 
@@ -383,7 +451,8 @@ def boundary_sweep(n: int) -> tuple[int, int, list[Graph]]:
     universal vertex.  Every single-pair flip of a member is checked too.
     Returns the pattern-free members, the pattern-free flips, and the graphs
     on which the deciders disagree, a positive greedy partition differs from
-    the recognizer's, or a greedy witness fails ``holds_in``.
+    the recognizer's, a greedy witness fails ``holds_in``, or the greedy
+    builder's result differs from :func:`two_phase_greedy_partition`'s.
     """
     full = (1 << n) - 1
     members = flips = 0
@@ -401,7 +470,8 @@ def boundary_sweep(n: int) -> tuple[int, int, list[Graph]]:
 
 def _decide(g: Graph, bad: list[Graph]) -> bool:
     """The triple scan's verdict, with g appended to ``bad`` when the greedy
-    builder or the recognizer says otherwise or the greedy witness fails."""
+    builder or the recognizer says otherwise, the greedy witness fails, or
+    the greedy builder strays from the two-phase one."""
     free = find_forbidden_triple(g) is None
     greedy = greedy_partition(g)
     part = recognize_multipartite(g)
@@ -409,7 +479,7 @@ def _decide(g: Graph, bad: list[Graph]) -> bool:
         ok = free and part is not None and greedy.family() == part.family()
     else:
         ok = not free and part is None and greedy.holds_in(g)
-    if not ok:
+    if not ok or greedy != two_phase_greedy_partition(g):
         bad.append(g)
     return free
 
@@ -665,6 +735,38 @@ def reference_normal_form(g: Graph, w: Word) -> NormalForm:
             exps[letter.vertex] += letter.sign
     part_words = tuple(free_reduce(project(w, part)) for part in p.parts)
     return NormalForm(tuple(sorted(exps.items())), part_words)
+
+
+def reduce_by_edges(g: Graph, w: Word) -> Word:
+    """Reduce w in the graph group of g from its edges alone, with no
+    partition.  Letters go on one at a time; each new letter scans back over
+    the letters it commutes with (its own vertex or a neighbour) and cancels
+    the first inverse it meets.  The result has no letter and inverse
+    separated only by letters commuting with them, which makes it a reduced
+    word of the graph group (Charney, Geom. Dedicata 2007): w is trivial
+    exactly when nothing is left.  Quadratic in |w| at worst."""
+    out: list[Letter] = []
+    for v, s in w:
+        i = len(out) - 1
+        while i >= 0 and (out[i].vertex == v or g.has_edge(out[i].vertex, v)):
+            if out[i].vertex == v and out[i].sign == -s:
+                del out[i]
+                break
+            i -= 1
+        else:
+            out.append(Letter(v, s))
+    return tuple(out)
+
+
+def normal_form_word(nf: NormalForm) -> Word:
+    """The normal form written back as a word: each p0 vertex to its net
+    exponent, ascending, then each part's reduced word in part order."""
+    letters = [
+        Letter(v, 1 if e > 0 else -1) for v, e in nf.abelian_exponents for _ in range(abs(e))
+    ]
+    for part_word in nf.part_words:
+        letters.extend(part_word)
+    return tuple(letters)
 
 
 FREE_A: Matrix = ((1, 2), (0, 1))

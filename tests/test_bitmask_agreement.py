@@ -3,8 +3,10 @@
 Agreement is exact: the same universal set, the same partition with the same
 part order, the same greedy run, first violation and greedy witness, on every
 graph with at most six vertices and on seeded large graphs on both sides of
-the class boundary.  The reference greedy builder also runs with seeded
-random pivot orders, which must reach the canonical partition or a witness.
+the class boundary.  The one-pass greedy builder returns exactly what the
+two-phase one (every cut first, then the validator's order) returns.  The
+reference greedy builder also runs with seeded random pivot orders, which
+must reach the canonical partition or a witness.
 """
 
 import random
@@ -34,6 +36,7 @@ from helpers import (
     reference_validate_partition,
     run_greedy,
     seeded_pivot,
+    two_phase_greedy_partition,
 )
 
 
@@ -45,6 +48,7 @@ def assert_agree(g: Graph) -> None:
     candidate = CommutingPartition(run.p0, run.parts)
     assert validate_partition(g, candidate) == reference_validate_partition(g, candidate)
     assert greedy_partition(g) == reference_greedy_partition(g)
+    assert greedy_partition(g) == two_phase_greedy_partition(g)
 
 
 def test_agreement_on_every_graph_up_to_six_vertices():
@@ -102,3 +106,14 @@ def test_agreement_on_large_seeded_graphs(n):
     for g in (random_graph(n, 0.5, seed=n), member, *near_misses(member, rng)):
         assert_agree(g)
         assert_any_pivot_order_works(g, n)
+
+
+@pytest.mark.parametrize("n", [300, 2000])
+def test_one_pass_greedy_matches_two_phase_on_large_graphs(n):
+    rng = random.Random(n + 1)
+    graphs = [random_graph(n, 0.5, seed=n)]
+    for seed in range(3):
+        member = random_nb_graph(n, seed=seed)
+        graphs += [member, *near_misses(member, rng)]
+    for g in graphs:
+        assert greedy_partition(g) == two_phase_greedy_partition(g)

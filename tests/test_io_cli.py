@@ -520,6 +520,23 @@ def test_cli_classify_reads_graph6_and_edge_lists_alike(tmp_path, capsys):
             assert from_edge_list.err == ""
 
 
+@pytest.mark.parametrize(
+    "text", ["n 4\ne 0 1\ne 1 2\ne 2 3\ne 3 0\n", "n 3\ne a b\n", "# K2\nn 2\ne x y\n"]
+)
+def test_cli_reads_an_edge_list_saved_with_a_byte_order_mark(tmp_path, capsys, text):
+    plain = tmp_path / "plain.el"
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / "marked.el"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    commands = (["classify", "--json"], ["partition"], ["decompose"], ["word", "1 2 -1"])
+    for command, *rest in commands:
+        code = main([command, str(plain), *rest])
+        printed = capsys.readouterr()
+        assert main([command, str(marked), *rest]) == code
+        assert capsys.readouterr() == printed
+
+
 def test_cli_enumerate(capsys):
     assert main(["enumerate", "--max-n", "4"]) == 0
     out = capsys.readouterr().out
