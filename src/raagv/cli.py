@@ -10,7 +10,11 @@ Subcommands:
 * ``enumerate --max-n <k>``: cross-check report for every order up to k.
 * ``random --n <n> [--p <p>] [--seed <s>] [--nb]``: emit a random graph.
 
-Input errors and unknown flags exit with status 2.
+The four file subcommands share one path in ``main``: it loads the graph
+(a graph6 file may open with the spec's ``>>graph6<<`` header), takes its
+verdict once and hands both to the subcommand.  ``partition`` prints the
+partition or the witness, and ``classify`` prints the same lines between its
+verdict and group lines.  Input errors and unknown flags exit with status 2.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from functools import cache
 from typing import Sequence
 
 from .graphio import MAX_VERTICES, LabelMap, emit_edge_list, parse_edge_list, parse_graph6
-from .graphs import CommutingPartition, Graph
-from .groups import Embeddable, emit_presentation, format_decomposition, verdict
+from .graphs import Graph
+from .groups import Embeddable, Verdict, emit_presentation, format_decomposition, verdict
 from .harness import MAX_ENUMERATION_N, cross_check, random_graph, random_nb_graph
 from .words import format_word, group_model, parse_word
 
@@ -33,7 +37,9 @@ def _load_graph(path: str, fmt: str) -> tuple[Graph, LabelMap]:
     if fmt == "graph6":
         # read as text mode and str.strip read ASCII: CR is a newline, space goes from the ends
         with open(path, "rb") as fh:
-            g = parse_graph6(fh.read().replace(b"\r", b"\n").strip(b"\t\n\v\f\x1c\x1d\x1e\x1f "))
+            data = fh.read().replace(b"\r", b"\n").strip(b"\t\n\v\f\x1c\x1d\x1e\x1f ")
+        # the spec's optional header, with no end of line after it
+        g = parse_graph6(data.removeprefix(b">>graph6<<"))
         return g, LabelMap.default(g.n)
     # utf-8-sig drops a byte-order mark that some editors write at the start
     with open(path, encoding="utf-8-sig") as fh:
@@ -42,14 +48,6 @@ def _load_graph(path: str, fmt: str) -> tuple[Graph, LabelMap]:
 
 def _fmt_set(vertices, labels: LabelMap) -> str:
     return "{" + ", ".join(labels.label(v) for v in sorted(vertices)) + "}"
-
-
-def _fmt_partition(p: CommutingPartition, labels: LabelMap) -> list[str]:
-    lines = [f"P0 = {_fmt_set(p.p0, labels)}"]
-    lines.extend(
-        f"P{k} = {_fmt_set(part, labels)}" for k, part in enumerate(p.parts, start=1)
-    )
-    return lines
 
 
 def _fmt_witness(t, labels: LabelMap) -> str:
@@ -83,49 +81,39 @@ def _classify_json(v) -> str:
     return json.dumps(payload)
 
 
-def _cmd_classify(args) -> int:
-    g, labels = _load_graph(args.file, args.format)
-    v = verdict(g)
+def _cmd_partition(args, g: Graph, labels: LabelMap, v: Verdict) -> int:
+    """Print the partition lines or the witness line; return the exit status."""
+    if isinstance(v, Embeddable):
+        print(f"P0 = {_fmt_set(v.partition.p0, labels)}")
+        for k, part in enumerate(v.partition.parts, start=1):
+            print(f"P{k} = {_fmt_set(part, labels)}")
+        return 0
+    print(_fmt_witness(v.witness, labels))
+    return 1
+
+
+def _cmd_classify(args, g: Graph, labels: LabelMap, v: Verdict) -> int:
     if args.json:
         print(_classify_json(v))
         return 0 if isinstance(v, Embeddable) else 1
+    print(f"embeddable: {'yes' if isinstance(v, Embeddable) else 'no'}")
+    code = _cmd_partition(args, g, labels, v)
     if isinstance(v, Embeddable):
-        print("embeddable: yes")
-        for line in _fmt_partition(v.partition, labels):
-            print(line)
         print(f"group: {format_decomposition(v.group)}")
-        return 0
-    print("embeddable: no")
-    print(_fmt_witness(v.witness, labels))
-    return 1
+    return code
 
 
-def _cmd_partition(args) -> int:
-    g, labels = _load_graph(args.file, args.format)
-    v = verdict(g)
-    if isinstance(v, Embeddable):
-        for line in _fmt_partition(v.partition, labels):
-            print(line)
-        return 0
-    print(_fmt_witness(v.witness, labels))
-    return 1
-
-
-def _cmd_decompose(args) -> int:
-    g, labels = _load_graph(args.file, args.format)
-    v = verdict(g)
-    code = 0
+def _cmd_decompose(args, g: Graph, labels: LabelMap, v: Verdict) -> int:
     if isinstance(v, Embeddable):
         print(format_decomposition(v.group))
     else:
         print("not a direct product of free groups")
         print(_fmt_witness(v.witness, labels))
-        code = 1
     print(f"presentation: {emit_presentation(g)}")
     if not labels.is_default():
-        legend = " ".join(f"x{v}={labels.label(v)}" for v in range(g.n))
+        legend = " ".join(f"x{u}={labels.label(u)}" for u in range(g.n))
         print(f"generators: {legend}")
-    return code
+    return 0 if isinstance(v, Embeddable) else 1
 
 
 def _stdin_words(n: int):
@@ -136,11 +124,9 @@ def _stdin_words(n: int):
             raise ValueError(f"line {i}: {exc}") from None
 
 
-def _cmd_word(args) -> int:
-    g, labels = _load_graph(args.file, args.format)
+def _cmd_word(args, g: Graph, labels: LabelMap, v: Verdict) -> int:
     # "-" alone: one word per line from stdin, read only once the model is built
     ws = _stdin_words(g.n) if args.word == ["-"] else [parse_word(" ".join(args.word), g.n)]
-    v = verdict(g)
     # group_model raises ValueError on the witness of a graph with the pattern
     model = group_model(v.partition if isinstance(v, Embeddable) else v.witness)
     heads = [f"part {_fmt_set(part, labels)}: " for part in v.partition.parts]
@@ -148,7 +134,7 @@ def _cmd_word(args) -> int:
         nf = model.normal_form(w)
         print("trivial" if nf.is_identity else "nontrivial")
         if nf.abelian_exponents:
-            shown = " ".join(f"{labels.label(v)}:{e:+d}" for v, e in nf.abelian_exponents)
+            shown = " ".join(f"{labels.label(u)}:{e:+d}" for u, e in nf.abelian_exponents)
             print(f"p0 exponents: {shown}")
         for head, pw in zip(heads, nf.part_words):
             print(head + (format_word(pw) if pw else "1"))
@@ -245,7 +231,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        if "file" not in args:  # enumerate and random read no graph
+            return args.func(args)
+        g, labels = _load_graph(args.file, args.format)
+        return args.func(args, g, labels, verdict(g))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

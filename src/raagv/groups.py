@@ -4,7 +4,8 @@ A graph with a commuting partition has graph group Z^|p0| x F_|P1| x ... x
 F_|Pk|: the universal vertices generate a central free-abelian factor and
 each part generates a free factor of rank equal to its size.  Every group of
 that shape embeds into Thompson's group V, and the forbidden triple is the
-only obstruction, so ``verdict`` settles embeddability outright.
+only obstruction, so ``verdict`` settles embeddability outright and names
+the group in its canonical form, which ``format_decomposition`` renders.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from .classify import canonical_partition
 from .graphs import CommutingPartition, ForbiddenTriple, Graph, _bits
 
 __all__ = (
-    "Embeddable", "GroupDecomposition", "NotEmbeddable", "Verdict", "canonical_form", "decompose",
-    "emit_presentation", "format_decomposition", "verdict",
+    "Embeddable", "GroupDecomposition", "NotEmbeddable", "Verdict", "emit_presentation",
+    "format_decomposition", "verdict",
 )
 
 
@@ -24,10 +25,9 @@ __all__ = (
 class GroupDecomposition:
     """Rank data for Z^abelian_rank x F_r1 x F_r2 x ...
 
-    ``decompose`` produces the raw form (one free rank per part, in part
-    order).  ``canonical_form`` folds rank-1 free factors into the abelian
-    part and sorts the rest descending, which makes equality of
-    decompositions meaningful.
+    ``verdict`` builds it in canonical form: F_1 = Z is folded into the
+    abelian rank and the free ranks are at least 2, in descending order, so
+    equal groups have equal decompositions.
     """
 
     abelian_rank: int
@@ -42,21 +42,6 @@ class GroupDecomposition:
     @property
     def total_rank(self) -> int:
         return self.abelian_rank + sum(self.free_ranks)
-
-
-def decompose(p: CommutingPartition) -> GroupDecomposition:
-    """Rank data read off a commuting partition: |p0| plus the part sizes."""
-    return GroupDecomposition(len(p.p0), tuple(len(part) for part in p.parts))
-
-
-def canonical_form(d: GroupDecomposition) -> GroupDecomposition:
-    """Fold F_1 factors into the abelian rank and sort free ranks descending.
-
-    Idempotent, and preserves the total rank.
-    """
-    ones = d.free_ranks.count(1)
-    rest = sorted((r for r in d.free_ranks if r > 1), reverse=True)
-    return GroupDecomposition(d.abelian_rank + ones, tuple(rest))
 
 
 def format_decomposition(d: GroupDecomposition) -> str:
@@ -92,7 +77,10 @@ def verdict(g: Graph) -> Verdict:
     """
     outcome = canonical_partition(g)
     if isinstance(outcome, CommutingPartition):
-        return Embeddable(outcome, canonical_form(decompose(outcome)))
+        ranks = sorted(map(len, outcome.parts), reverse=True)
+        free = tuple(r for r in ranks if r > 1)
+        # F_1 = Z: a one-vertex part (only the one-vertex graph has one) adds to the abelian rank
+        return Embeddable(outcome, GroupDecomposition(len(outcome.p0) + len(ranks) - len(free), free))
     return NotEmbeddable(outcome)
 
 

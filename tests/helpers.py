@@ -20,6 +20,7 @@ from raagv import (
     CommutingPartition,
     ForbiddenTriple,
     Graph,
+    GroupDecomposition,
     InternalEdge,
     LabelMap,
     Letter,
@@ -646,6 +647,21 @@ def reference_emit_presentation(g: Graph) -> str:
     gens = ",".join(f"x{v}" for v in range(g.n))
     rels = ",".join(f"x{u}x{v}=x{v}x{u}" for u, v in reference_edges(g))
     return f"⟨{gens} | {rels}⟩"
+
+
+def reference_decompose(p: CommutingPartition) -> GroupDecomposition:
+    """The group read off a commuting partition as it stands: rank |p0|,
+    then one free rank per part, in part order."""
+    return GroupDecomposition(len(p.p0), tuple(len(part) for part in p.parts))
+
+
+def reference_canonical_form(d: GroupDecomposition) -> GroupDecomposition:
+    """Fold each F_1 into the abelian rank and sort the other free ranks in
+    descending order.  After ``reference_decompose`` this is the group that
+    ``verdict`` builds in one step."""
+    ones = d.free_ranks.count(1)
+    rest = sorted((r for r in d.free_ranks if r > 1), reverse=True)
+    return GroupDecomposition(d.abelian_rank + ones, tuple(rest))
 
 
 def reference_graph_from_family(

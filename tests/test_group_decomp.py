@@ -10,15 +10,13 @@ from raagv import (
     ForbiddenTriple,
     GroupDecomposition,
     NotEmbeddable,
-    canonical_form,
     canonical_partition,
-    decompose,
     emit_presentation,
     format_decomposition,
     new_graph,
     verdict,
 )
-from raagv.harness import random_nb_graph
+from raagv.harness import enumerate_graphs, random_nb_graph
 
 from helpers import (
     complete_bipartite,
@@ -27,38 +25,52 @@ from helpers import (
     empty_graph,
     forbidden_pattern_graph,
     path_graph,
+    reference_canonical_form,
+    reference_decompose,
 )
 
 
-def test_decompose_cycle4():
+def test_reference_two_step_group():
+    # the raw form keeps one free rank per part, in part order
     p = canonical_partition(cycle_graph(4))
     assert isinstance(p, CommutingPartition)
-    d = decompose(p)
-    assert d.abelian_rank == 0
-    assert d.free_ranks == (2, 2)
-
-
-def test_decompose_keeps_raw_part_order():
+    assert reference_decompose(p) == GroupDecomposition(0, (2, 2))
     p = CommutingPartition(frozenset({0}), (frozenset({1, 2, 3}), frozenset({4})))
-    assert decompose(p) == GroupDecomposition(1, (3, 1))
-
-
-def test_canonical_form_folds_rank_one_factors():
-    d = GroupDecomposition(2, (1, 3, 1, 2))
-    assert canonical_form(d) == GroupDecomposition(4, (3, 2))
-
-
-def test_canonical_form_is_idempotent_and_rank_preserving():
+    assert reference_decompose(p) == GroupDecomposition(1, (3, 1))
+    assert reference_canonical_form(GroupDecomposition(1, (3, 1))) == GroupDecomposition(2, (3,))
+    assert reference_canonical_form(GroupDecomposition(2, (1, 3, 1, 2))) == GroupDecomposition(4, (3, 2))
     rng = random.Random(99)
     for _ in range(200):
         d = GroupDecomposition(
             rng.randint(0, 5), tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 5)))
         )
-        c = canonical_form(d)
-        assert canonical_form(c) == c
+        c = reference_canonical_form(d)
+        assert reference_canonical_form(c) == c
         assert c.total_rank == d.total_rank
         assert 1 not in c.free_ranks
         assert list(c.free_ranks) == sorted(c.free_ranks, reverse=True)
+
+
+def assert_group_is_the_two_step_reference(g):
+    v = verdict(g)
+    assert isinstance(v, Embeddable)
+    assert v.group == reference_canonical_form(reference_decompose(v.partition))
+
+
+def test_verdict_group_matches_the_two_step_reference_on_every_small_graph():
+    members = 0
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            if isinstance(canonical_partition(g), CommutingPartition):
+                assert_group_is_the_two_step_reference(g)
+                members += 1
+    assert members == 1 + 1 + 2 + 5 + 15 + 52 + 203  # Bell numbers, n = 0..6
+
+
+@pytest.mark.parametrize("n", [50, 300])
+def test_verdict_group_matches_the_two_step_reference_on_large_members(n):
+    for seed in range(20):
+        assert_group_is_the_two_step_reference(random_nb_graph(n, seed))
 
 
 def test_format_decomposition_examples():
@@ -120,7 +132,7 @@ def test_verdict_group_is_canonical():
         g = random_nb_graph(rng.randint(1, 10), seed=trial + 50)
         v = verdict(g)
         assert isinstance(v, Embeddable)
-        assert canonical_form(v.group) == v.group
+        assert reference_canonical_form(v.group) == v.group
 
 
 def test_rank_sum_equals_vertex_count():
@@ -131,7 +143,7 @@ def test_rank_sum_equals_vertex_count():
         v = verdict(g)
         assert isinstance(v, Embeddable)
         assert v.group.total_rank == n
-        raw = decompose(v.partition)
+        raw = reference_decompose(v.partition)
         assert raw.total_rank == n
 
 

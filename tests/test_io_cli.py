@@ -537,6 +537,120 @@ def test_cli_reads_an_edge_list_saved_with_a_byte_order_mark(tmp_path, capsys, t
         assert capsys.readouterr() == printed
 
 
+def test_cli_loads_and_classifies_once_per_call(c4_file, obstruction_file, capsys, monkeypatch):
+    calls = []
+    load, decide = cli._load_graph, cli.verdict
+    monkeypatch.setattr(cli, "_load_graph", lambda path, fmt: calls.append("load") or load(path, fmt))
+    monkeypatch.setattr(cli, "verdict", lambda g: calls.append("verdict") or decide(g))
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 2 -1 -2\n\n1 3 -1 -3\n"))
+    runs = [
+        (["classify", c4_file], 0),
+        (["classify", c4_file, "--json"], 0),
+        (["partition", c4_file], 0),
+        (["decompose", c4_file], 0),
+        (["word", c4_file, "1 3 -1 -3"], 0),
+        (["word", c4_file, "-"], 0),
+        (["classify", obstruction_file], 1),
+        (["partition", obstruction_file], 1),
+        (["decompose", obstruction_file], 1),
+        (["word", obstruction_file, "1"], 2),
+    ]
+    for argv, code in runs:
+        calls.clear()
+        assert main(argv) == code
+        assert calls == ["load", "verdict"], argv
+    assert capsys.readouterr().out.count("trivial\n") == 4  # one word, then three from stdin
+    calls.clear()
+    assert main(["random", "--n", "3"]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "g", [cycle_graph(4), forbidden_pattern_graph(), random_nb_graph(70, seed=5)], ids=["c4", "pattern", "n70"]
+)
+def test_cli_reads_graph6_with_the_optional_header(tmp_path, capsys, g):
+    plain = tmp_path / "plain.g6"
+    plain.write_text(emit_graph6(g) + "\n")
+    headed = tmp_path / "headed.g6"
+    headed.write_text(">>graph6<<" + emit_graph6(g) + "\n")
+    for command, *rest in (["classify"], ["classify", "--json"], ["partition"], ["decompose"]):
+        code = main([command, str(plain), "--format", "graph6", *rest])
+        printed = capsys.readouterr()
+        assert main([command, str(headed), "--format", "graph6", *rest]) == code
+        assert capsys.readouterr() == printed
+    # the codec itself stays the strict inverse of emit_graph6
+    with pytest.raises(ParseError):
+        parse_graph6(">>graph6<<" + emit_graph6(g))
+
+
+@pytest.mark.parametrize(
+    "raw, err",
+    [
+        (b">>graph6<<\n", "empty graph6 input"),
+        (b">>graph6<<>>graph6<<Cl\n", "graph6 byte 62 outside the printable range 63..126"),
+        (b">>graph6<< Cl\n", "graph6 byte 32 outside the printable range 63..126"),
+    ],
+    ids=["alone", "twice", "then-space"],
+)
+def test_cli_graph6_header_is_taken_once_and_needs_a_graph(tmp_path, capsys, raw, err):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(raw)
+    assert main(["classify", str(path), "--format", "graph6"]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+FUZZ_SOURCES = [
+    ("labelled.el", [], b"# a path and a square\nn 8\ne a b\ne b c\ne d e\ne e f\ne f g\ne g d\ne b x\n"),
+    ("numeric.el", [], b"n 5\ne 0 1\ne 1 2\ne 2 3\ne 3 0\ne 4 0\ne 4 1\ne 4 2\ne 4 3\n"),
+    ("member.g6", ["--format", "graph6"], (emit_graph6(random_nb_graph(12, seed=2)) + "\n").encode()),
+]
+FUZZ_BYTES = b"0123456789 \n\r\t#-_~?@Aaenx\xef\xbb\xbf\xff"
+FUZZ_COMMANDS = (["classify"], ["classify", "--json"], ["partition"], ["decompose"], ["word", "1 2 -1 -2"], ["word", "-"])
+WORD_TOKENS = ("1", "-1", "2", "-2", "3", "5", "x", "0")
+
+
+def mutate(data: bytes, rng: random.Random) -> bytes:
+    """One or two byte flips, insertions, deletions or truncations."""
+    raw = bytearray(data)
+    for _ in range(rng.choice((1, 1, 2))):
+        kind, at = rng.randrange(4), rng.randrange(len(raw) + 1)
+        if kind == 0 and at < len(raw):
+            raw[at] ^= 1 << rng.randrange(8)
+        elif kind == 1:
+            raw.insert(at, rng.choice(FUZZ_BYTES))
+        elif kind == 2 and at < len(raw):
+            del raw[at]
+        elif kind == 3:
+            del raw[at:]
+    return bytes(raw)
+
+
+def test_cli_survives_mutated_files(tmp_path, capsys, monkeypatch):
+    rng = random.Random(19)
+    cases = 0
+    for name, fmt, data in FUZZ_SOURCES:
+        for i in range(17):
+            path = tmp_path / f"{i}-{name}"
+            path.write_bytes(mutate(data, rng))
+            lines = (" ".join(rng.choices(WORD_TOKENS, k=3)) for _ in range(3))
+            monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+            verdict_codes = set()
+            for command, *rest in FUZZ_COMMANDS:
+                code = main([command, str(path), *fmt, *rest])
+                out, err = capsys.readouterr()
+                cases += 1
+                assert code in (0, 1, 2), (path.read_bytes(), command)
+                if code == 2:
+                    assert err.startswith("error: ") and err.count("\n") == 1, (path.read_bytes(), command, err)
+                else:
+                    assert err == "", (path.read_bytes(), command, err)
+                if command != "word":
+                    verdict_codes.add(code)
+            # the four verdict commands read the same file, so they agree
+            assert len(verdict_codes) == 1, (path.read_bytes(), verdict_codes)
+    assert cases == 306
+
+
 def test_cli_enumerate(capsys):
     assert main(["enumerate", "--max-n", "4"]) == 0
     out = capsys.readouterr().out
