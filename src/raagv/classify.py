@@ -12,6 +12,11 @@ block is exactly the non-neighbours of each of its vertices) and hands back
 the canonical commuting partition.  ``canonical_partition`` composes the
 two: the recognizer's partition, or else the scan's least witness.  This
 module imports only :mod:`raagv.graphs`, where both result types live.
+
+Each decider is a private core on the adjacency masks, which answers in
+plain ints and tuples, behind a public function that wraps the answer in its
+result type.  ``harness.cross_check`` keeps only a yes or no per graph, so it
+calls the cores and builds no result object; the two cores share no code.
 """
 
 from __future__ import annotations
@@ -19,6 +24,20 @@ from __future__ import annotations
 from .graphs import CommutingPartition, ForbiddenTriple, Graph, _bits, _low
 
 __all__ = ("canonical_partition", "find_forbidden_triple", "is_nb", "recognize_multipartite")
+
+
+def _least_triple(adj: tuple[int, ...]) -> tuple[int, int, int] | None:
+    """The core of :func:`find_forbidden_triple`: (a, b, c) or None."""
+    full = (1 << len(adj)) - 1
+    for a, row in enumerate(adj):
+        outside = full & ~row & ~(1 << a)
+        if not outside:
+            continue
+        for b in _bits(row >> a + 1 << a + 1):
+            free = outside & ~adj[b]  # b, a neighbour of a, is not outside
+            if free:
+                return a, b, _low(free)
+    return None
 
 
 def find_forbidden_triple(g: Graph) -> ForbiddenTriple | None:
@@ -29,22 +48,37 @@ def find_forbidden_triple(g: Graph) -> ForbiddenTriple | None:
     valid (a, b, c) and therefore deterministic.  A row with no
     non-neighbour belongs to a universal vertex, which is in no witness.
     """
-    full = (1 << g.n) - 1
-    adj = g.adj
-    for a, row in enumerate(adj):
-        outside = full & ~row & ~(1 << a)
-        if not outside:
-            continue
-        for b in _bits(row >> a + 1 << a + 1):
-            free = outside & ~adj[b]  # b, a neighbour of a, is not outside
-            if free:
-                return ForbiddenTriple(a, b, _low(free))
-    return None
+    triple = _least_triple(g.adj)
+    return None if triple is None else ForbiddenTriple(*triple)
 
 
 def is_nb(g: Graph) -> bool:
     """True when g avoids the forbidden pattern entirely."""
-    return find_forbidden_triple(g) is None
+    return _least_triple(g.adj) is None
+
+
+def _twin_blocks(adj: tuple[int, ...]) -> tuple[list[int], list[tuple[int, ...]]] | None:
+    """The core of :func:`recognize_multipartite`: the p0 vertices and the
+    members of each part, in the order the partition lists them, or None."""
+    n = len(adj)
+    full = (1 << n) - 1
+    seen = 0
+    p0 = []
+    parts = []
+    for v, row in enumerate(adj):
+        if seen >> v & 1:
+            continue
+        block = full & ~row
+        seen |= block
+        if block == 1 << v and n > 1:
+            p0.append(v)
+            continue
+        members = _bits(block)
+        for u in members:
+            if adj[u] != row:
+                return None
+        parts.append(members)
+    return p0, parts
 
 
 def recognize_multipartite(g: Graph) -> CommutingPartition | None:
@@ -58,25 +92,11 @@ def recognize_multipartite(g: Graph) -> CommutingPartition | None:
     to p0, except on the one-vertex graph, whose sole vertex has
     eccentricity 0 and therefore stays a part.
     """
-    full = (1 << g.n) - 1
-    adj = g.adj
-    seen = 0
-    p0 = []
-    parts = []
-    for v, row in enumerate(adj):
-        if seen >> v & 1:
-            continue
-        block = full & ~row
-        seen |= block
-        if block == 1 << v and g.n > 1:
-            p0.append(v)
-            continue
-        members = _bits(block)
-        for u in members:
-            if adj[u] != row:
-                return None
-        parts.append(frozenset(members))
-    return CommutingPartition(frozenset(p0), tuple(parts))
+    blocks = _twin_blocks(g.adj)
+    if blocks is None:
+        return None
+    p0, parts = blocks
+    return CommutingPartition(frozenset(p0), tuple(map(frozenset, parts)))
 
 
 def canonical_partition(g: Graph) -> CommutingPartition | ForbiddenTriple:

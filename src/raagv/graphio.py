@@ -1,6 +1,7 @@
 """Graph serialization: edge-list text, graph6 at every size, and DOT output.
 
-The edge-list dialect is line based: ``#`` starts a comment, the first
+The edge-list dialect is line based, a line ending at CR LF, CR or LF as
+text-mode ``open`` and ``grep -n`` see them: ``#`` starts a comment, the first
 significant line is ``n <count>``, and every following line is
 ``e <u> <v>``.  Endpoint labels may be arbitrary whitespace-free tokens;
 when every label is a vertex number ``0``..``n-1`` written the way
@@ -78,7 +79,11 @@ class LabelMap:
 
 def parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
     """Parse the edge-list dialect; see the module docstring for the rules."""
-    lines = text.splitlines()
+    # not str.splitlines, which also ends lines at \f, \v, \x1c-\x1e, \x85,
+    # U+2028 and U+2029: those are in-line whitespace to str.split
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     n, start = _header(lines)
     index = {str(v): v for v in range(n)}
     adj = [0] * n

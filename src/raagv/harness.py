@@ -4,8 +4,13 @@
 greedy partitioner, twin-class recognizer) over every labeled graph of a
 given order and records disagreements; the counts double as a check against
 the expected number of pattern-free graphs, which equals the Bell numbers.
-The random generators here feed the property tests and are deterministic in
-their seed.
+It keeps only a yes or no from each decider, so it calls their private mask
+cores, which build no result object and, for the greedy builder, skip the
+search for a missing cross edge that would only name a witness; the public
+deciders wrap the same cores.  It draws every graph through the module
+attribute ``enumerate_graphs``, so that a caller can wrap the generator to
+time each graph.  The random generators here feed the property tests and
+are deterministic in their seed.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from itertools import combinations
 from operator import or_
 from typing import Iterator
 
-from .classify import find_forbidden_triple, recognize_multipartite
-from .graphs import CommutingPartition, Graph, _bits, _block_masks, new_graph
-from .partition import greedy_partition
+from .classify import _least_triple, _twin_blocks
+from .graphs import Graph, _bits, _block_masks, new_graph
+from .partition import _greedy_cuts
 
 __all__ = (
     "CrossCheckReport", "Mismatch", "cross_check", "enumerate_graphs", "graph_from_family",
@@ -84,9 +89,10 @@ def cross_check(n: int) -> CrossCheckReport:
     code = 0
     for g in enumerate_graphs(n):
         total += 1
-        triple_free = find_forbidden_triple(g) is None
-        greedy_ok = isinstance(greedy_partition(g), CommutingPartition)
-        multi_ok = recognize_multipartite(g) is not None
+        adj = g.adj
+        triple_free = _least_triple(adj) is None
+        greedy_ok = not _greedy_cuts(adj)[2]
+        multi_ok = _twin_blocks(adj) is not None
         nb += triple_free
         gp += greedy_ok
         if not (triple_free == greedy_ok == multi_ok):

@@ -20,9 +20,14 @@ for a missing cross edge only after the last cut.  It returns the parts and
 the witness that cutting everything first and validating after would give;
 vertex sets are built only for what it returns.  A failed greedy run is
 turned into a forbidden-triple witness through its pivot, never through
-another decider.  The result types come from :mod:`raagv.graphs`;
-``canonical_partition`` lives in :mod:`raagv.classify` and is bound here
-only under the name the benchmark traces.
+another decider.  The builder's core works on the masks alone and returns
+the cut masks, the first part with a failing row and the internal-edge
+witness if the cut stopped at one; ``greedy_partition`` wraps that answer.
+``harness.cross_check`` reads only the core's decision, so it neither builds
+a result object nor searches for the missing cross edge nobody would read.
+The result types come from :mod:`raagv.graphs`; ``canonical_partition``
+lives in :mod:`raagv.classify` and is bound here only under the name the
+benchmark traces.
 """
 
 from __future__ import annotations
@@ -164,8 +169,27 @@ def greedy_partition(g: Graph) -> CommutingPartition | ForbiddenTriple:
     graphs that admit a commuting partition any pivot order would reach the
     same unordered block family.
     """
-    adj = g.adj
-    full = (1 << g.n) - 1
+    p0, parts, first, inside = _greedy_cuts(g.adj)
+    if not first:
+        return CommutingPartition(frozenset(_bits(p0)), tuple(frozenset(_bits(m)) for m in parts))
+    if inside is not None:
+        return ForbiddenTriple(*inside)
+    u, v, i, _ = _missing_cross_edge(g, [p0, *parts], first)
+    w = _low(parts[i - 1])
+    return ForbiddenTriple(min(v, w), max(v, w), u)
+
+
+def _greedy_cuts(
+    adj: tuple[int, ...],
+) -> tuple[int, list[int], int, tuple[int, int, int] | None]:
+    """The core of :func:`greedy_partition`: (p0, parts, first, inside).
+
+    p0 and parts are the masks cut so far, first is the first part with a
+    failing row (0 when every row is right, which is the decision), and
+    inside is (u, v, w) when the cut stopped at an internal edge, else None.
+    """
+    n = len(adj)
+    full = (1 << n) - 1
     p0 = 0
     parts: list[int] = []
     first = 0
@@ -175,19 +199,15 @@ def greedy_partition(g: Graph) -> CommutingPartition | ForbiddenTriple:
         w = pivot.bit_length() - 1
         part = remaining & ~adj[w]
         remaining ^= part
-        if part == pivot and adj[w] | pivot == full and g.n > 1:
+        if part == pivot and adj[w] | pivot == full and n > 1:
             p0 |= pivot
             continue
         parts.append(part)
         row = full ^ part
         for u in _bits(part ^ pivot):
             if adj[u] != row:
+                first = first or len(parts)
                 inside = adj[u] & part
                 if inside:
-                    return ForbiddenTriple(u, _low(inside), w)
-                first = first or len(parts)
-    if not first:
-        return CommutingPartition(frozenset(_bits(p0)), tuple(frozenset(_bits(m)) for m in parts))
-    u, v, i, _ = _missing_cross_edge(g, [p0, *parts], first)
-    w = _low(parts[i - 1])
-    return ForbiddenTriple(min(v, w), max(v, w), u)
+                    return p0, parts, first, (u, _low(inside), w)
+    return p0, parts, first, None

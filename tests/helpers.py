@@ -8,11 +8,12 @@ dicts and itertools) so that agreement tests actually compare two routes.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Iterator
 
 from hypothesis import strategies as st
 
@@ -444,28 +445,39 @@ def restricted_growth_strings(n: int) -> list[tuple[int, ...]]:
     return strings
 
 
-def boundary_sweep(n: int) -> tuple[int, int, list[Graph]]:
-    """The three deciders on both sides of the class boundary at order n.
+def boundary_graphs(n: int) -> Iterator[tuple[Graph, bool]]:
+    """Both sides of the class boundary at order n, as (graph, is_member).
 
     Each set partition of range(n) gives a member: the complete multipartite
     graph with its blocks as parts, where a singleton block comes out as a
-    universal vertex.  Every single-pair flip of a member is checked too.
-    Returns the pattern-free members, the pattern-free flips, and the graphs
-    on which the deciders disagree, a positive greedy partition differs from
-    the recognizer's, a greedy witness fails ``holds_in``, or the greedy
-    builder's result differs from :func:`two_phase_greedy_partition`'s.
+    universal vertex.  Every member is followed by its single-pair flips.
     """
     full = (1 << n) - 1
-    members = flips = 0
-    bad: list[Graph] = []
     for rgs in restricted_growth_strings(n):
         blocks: dict[int, int] = {}
         for v, b in enumerate(rgs):
             blocks[b] = blocks.get(b, 0) | 1 << v
         member = Graph(n, tuple(full & ~blocks[b] for b in rgs))
-        members += _decide(member, bad)
+        yield member, True
         for u, v in combinations(range(n), 2):
-            flips += _decide(toggled(member, u, v), bad)
+            yield toggled(member, u, v), False
+
+
+def boundary_sweep(n: int) -> tuple[int, int, list[Graph]]:
+    """The three deciders on every graph of :func:`boundary_graphs`.
+
+    Returns the pattern-free members, the pattern-free flips, and the graphs
+    on which the deciders disagree, a positive greedy partition differs from
+    the recognizer's, a greedy witness fails ``holds_in``, or the greedy
+    builder's result differs from :func:`two_phase_greedy_partition`'s.
+    """
+    members = flips = 0
+    bad: list[Graph] = []
+    for g, member in boundary_graphs(n):
+        if member:
+            members += _decide(g, bad)
+        else:
+            flips += _decide(g, bad)
     return members, flips, bad
 
 
@@ -496,7 +508,7 @@ def _decide(g: Graph, bad: list[Graph]) -> bool:
 def reference_parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
     n = None
     raw_edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -537,6 +537,29 @@ def test_cli_reads_an_edge_list_saved_with_a_byte_order_mark(tmp_path, capsys, t
         assert capsys.readouterr() == printed
 
 
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("n 3\n\x0c\ne 0 1\ne 1\n", 4), ("n 3\ne 0 1\u2028\ne 1\n", 3), ("n 3\r\ne 0 1\re 1\r\n", 3)],
+    ids=["form-feed-line", "line-separator-after-an-edge", "carriage-returns"],
+)
+def test_cli_edge_list_errors_name_the_line_grep_names(tmp_path, capsys, text, line):
+    # lines end at CR LF, CR or LF only, as grep -n and text-mode open count them
+    path = tmp_path / "bad.el"
+    path.write_bytes(text.encode())
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line {line}: edge line must be exactly 'e <u> <v>'\n"
+    with pytest.raises(ParseError, match=f"^line {line}: "):
+        parse_edge_list(text)
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_other_unicode_line_separators_are_in_line_whitespace(sep):
+    g, labels = parse_edge_list(f"n 3{sep}\ne 0{sep}1\ne 1 2{sep}# c{sep}e 0 2\n")
+    assert g.adj == (0b010, 0b101, 0b010)
+    assert labels == LabelMap.default(3)
+
+
 def test_cli_loads_and_classifies_once_per_call(c4_file, obstruction_file, capsys, monkeypatch):
     calls = []
     load, decide = cli._load_graph, cli.verdict

@@ -50,10 +50,10 @@ def outcome(parse, text: str):
 # Fragments the fuzzed texts are made of: directives, default and
 # non-default labels (``01`` and ``+1`` read as integers but are not the
 # vertex numbers ``str`` writes), comments, and separators that split lines
-# (``\r``, ``\x0c``) or only tokens (``\x1f``, the ideographic space).
+# (``\r``) or only tokens (``\x0c``, ``\x1f``, U+2028, the ideographic space).
 PIECES = (
     "n", "e", "0", "1", "2", "3", "4", "01", "+1", "a", "b", "x",
-    " ", " ", "\t", "\n", "\n", "\r", "\r\n", "\x0c", "\x1f", "　", "#",
+    " ", " ", "\t", "\n", "\n", "\r", "\r\n", "\x0c", "\x1f", "\u2028", "　", "#",
     "e 0 1\n", "e 1 2\n", "e 2 0\n", "e 3 3\n", "e a b\n", "e b x\n", "n 2\n",
 )
 HEADERS = ("", "n 0\n", "n 2\n", "n 3\n", "n 5\n", "# c\nn 4 # four\n", "\n n\x1f3\r")
