@@ -38,7 +38,7 @@ from raagv import (
     recognize_multipartite,
 )
 from raagv import harness
-from raagv.graphio import MAX_VERTICES, _assign_labels
+from raagv.graphio import MAX_VERTICES, _assign_labels, _echo
 from raagv.graphs import _bits, _low, _mask, _universal_mask
 from raagv.matrixrep import IDENTITY, Matrix, MatrixImage, evaluate_word
 
@@ -515,7 +515,7 @@ def reference_parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
         tokens = line.split()
         if n is None:
             if tokens[0] != "n":
-                raise ParseError(f"line {lineno}: expected header 'n <count>', got {raw.strip()!r}")
+                raise ParseError(f"line {lineno}: expected header 'n <count>', got {_echo(raw.strip(), repr)}")
             if len(tokens) != 2:
                 raise ParseError(f"line {lineno}: header must be exactly 'n <count>'")
             try:
@@ -530,7 +530,7 @@ def reference_parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
         if tokens[0] == "n":
             raise ParseError(f"line {lineno}: duplicate 'n' header")
         if tokens[0] != "e":
-            raise ParseError(f"line {lineno}: unknown directive {tokens[0]!r}")
+            raise ParseError(f"line {lineno}: unknown directive {_echo(tokens[0], repr)}")
         if len(tokens) != 3:
             raise ParseError(f"line {lineno}: edge line must be exactly 'e <u> <v>'")
         raw_edges.append((tokens[1], tokens[2], lineno))
@@ -546,7 +546,7 @@ def reference_parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
     for lu, lv, lineno in raw_edges:
         u, v = index[lu], index[lv]
         if u == v:
-            raise ParseError(f"line {lineno}: loop edge on {lu!r}")
+            raise ParseError(f"line {lineno}: loop edge on {_echo(lu, repr)}")
         edges.append((u, v))
     return new_graph(n, edges), labels
 

@@ -25,7 +25,14 @@ from raagv.graphio import MAX_VERTICES
 from raagv.harness import MAX_ENUMERATION_N, enumerate_graphs, random_graph, random_nb_graph
 from raagv.partition import CommutingPartition
 
-from helpers import cycle_graph, forbidden_pattern_graph, graphs, near_misses, reference_emit_dot
+from helpers import (
+    cycle_graph,
+    forbidden_pattern_graph,
+    graphs,
+    near_misses,
+    reference_emit_dot,
+    reference_parse_edge_list,
+)
 
 
 # ------------------------------------------------------------- edge lists
@@ -790,3 +797,49 @@ def test_header_count_is_ascii_digits_and_echoes_32_characters(tmp_path, capsys,
     f.write_text(text, encoding="utf-8")
     assert main(["classify", str(f)]) == 2
     assert capsys.readouterr() == ("", f"error: line 1: {message}\n")
+
+
+LONG = "x" * 100_000
+LONG_ECHO = f"{'x' * 32!r}... (100000 characters)"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"{LONG}\n", f"line 1: expected header 'n <count>', got {LONG_ECHO}"),
+        (f"n 2\n{LONG} 0 1\n", f"line 2: unknown directive {LONG_ECHO}"),
+        (f"n 3\ne 0 1\ne {LONG} {LONG}\n", f"line 3: loop edge on {LONG_ECHO}"),
+        (f"n 1\ne a {LONG}\n", f"line 2: label {LONG_ECHO} is the 2-th distinct label but the graph has only 1 vertices"),
+    ],
+    ids=["header", "directive", "loop", "label-count"],
+)
+def test_edge_list_errors_echo_32_characters_of_a_long_token(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
+    with pytest.raises(ParseError) as err:
+        reference_parse_edge_list(text)
+    assert str(err.value) == message
+
+
+def parse_peak(text: str) -> int:
+    """The traced peak of parsing ``text``, which is made before tracing starts."""
+    tracemalloc.start()
+    try:
+        parse_edge_list(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_canonical_edge_list_is_parsed_without_a_list_of_its_lines():
+    # the bulk route holds one chunk's tokens (about 1 MB) and the masks,
+    # which is 0.6 times this 1.7 MB text; a list of every line took 7 times
+    text = emit_edge_list(random_nb_graph(600, seed=1))
+    assert parse_peak(text) <= len(text)
+
+
+def test_header_only_edge_list_allocates_no_table_of_bits():
+    # the label index and the label map take about 12 MB at MAX_VERTICES;
+    # a table of every label's bit would take about n * n / 16 = 268 MB
+    assert parse_peak(f"n {MAX_VERTICES}\n") < 16 << 20

@@ -1,8 +1,11 @@
-"""The one-pass parser, the graph6 codec and the row walks against the
+"""The edge-list parser, the graph6 codec and the row walks against the
 references in helpers.
 
 ``parse_edge_list`` must return the same graph and labels as the two-pass
-reference, or raise ``ParseError`` with the same message, on fuzzed text.
+reference, or raise ``ParseError`` with the same message, on fuzzed text and
+on canonical text with one fault placed before, at and after a chunk
+boundary of the bulk route; the bulk route alone must either decline or
+agree.
 The graph6 codec must agree with the per-bit reference wherever that one
 works: n <= 62 and input that does not start with ``~``.  The triple scan,
 the edge-list writer and the presentation writer must give exactly the
@@ -26,6 +29,7 @@ from raagv import (
     parse_edge_list,
     parse_graph6,
 )
+from raagv.graphio import _CHUNK, _parse_canonical
 from raagv.harness import enumerate_graphs, random_graph, random_nb_graph
 
 from helpers import (
@@ -115,6 +119,95 @@ def test_late_non_default_label_takes_the_label_path():
     assert g.adj == (0b0010, 0b0101, 0b1010, 0b0100)
     text = "n 4\ne 1 0\ne 0 2\ne x 2\n"
     assert outcome(parse_edge_list, text) == outcome(reference_parse_edge_list, text)
+
+
+# Faults for one line ``e u v`` of a canonical file: each returns the text
+# that takes the line's place, and may add lines.
+LINE_FAULTS = {
+    "blank line": lambda u, v: f"\ne {u} {v}",
+    "whitespace-only line": lambda u, v: f" \t\x0c\ne {u} {v}",
+    "leading space": lambda u, v: f" e {u} {v}",
+    "tab inside": lambda u, v: f"e\t{u} {v}",
+    "form feed inside": lambda u, v: f"e {u}\x0c{v}",
+    "U+2028 inside": lambda u, v: f"e {u}\u2028{v}",
+    "\\x1f inside": lambda u, v: f"e\x1f{u} {v}",
+    "misaligned pair": lambda u, v: f"e {u} {v} e\n5 6",
+    "token e1": lambda u, v: f"e1 {u} {v}",
+    "label e": lambda u, v: f"e e {v}",
+    "loop": lambda u, v: f"e {u} {u}",
+    "duplicate edge": lambda u, v: f"e {u} {v}\ne {u} {v}",
+    "reversed edge": lambda u, v: f"e {v} {u}",
+    "non-default label": lambda u, v: f"e 0{u} {v}",
+    "label beyond n": lambda u, v: f"e {u} 150",
+    "CR LF": lambda u, v: f"e {u} {v}\r",
+    "CR": lambda u, v: f"e {u} {v}\re 5 6",
+    "CR inside": lambda u, v: f"e {u}\r{v}",
+    "comment": lambda u, v: f"e {u} {v} # c",
+    "comment line": lambda u, v: f"#\ne {u} {v}",
+    "hash in a token": lambda u, v: f"e {u} {v}#",
+    "second header": lambda u, v: f"n 150\ne {u} {v}",
+}
+
+
+def fault_lines(text: str) -> dict[str, int]:
+    """Indices of body lines before, at and after the bulk route's first
+    chunk boundary, and of a line late in the file."""
+    head = text.index("\n") + 1
+    boundary = text.index("\n", head + _CHUNK)
+    line_at = lambda pos: text.count("\n", 0, pos)
+    return {
+        "before": line_at(head + _CHUNK // 2),
+        "ends the first chunk": line_at(boundary),
+        "starts the second chunk": line_at(boundary) + 1,
+        "late": text.count("\n") - 2,
+    }
+
+
+def bulk_agrees(text: str, case):
+    """Check that both parsers agree on ``text`` and that the bulk route
+    alone declines or agrees too; return what the bulk route gave."""
+    expected = outcome(reference_parse_edge_list, text)
+    assert outcome(parse_edge_list, text) == expected, case
+    bulk = _parse_canonical(text)
+    assert bulk is None or (bulk[0].n, bulk[0].adj, bulk[1].labels) == expected, case
+    return bulk
+
+
+def test_bulk_route_declines_or_agrees_across_chunk_boundaries():
+    text = emit_edge_list(random_nb_graph(150, seed=150))
+    assert len(text) > 2 * _CHUNK
+    assert _parse_canonical(text) == reference_parse_edge_list(text)
+    lines = text.split("\n")
+    for where, i in fault_lines(text).items():
+        _, u, v = lines[i].split()
+        for name, fault in LINE_FAULTS.items():
+            bulk_agrees("\n".join(lines[:i] + [fault(u, v)] + lines[i + 1 :]), (where, name))
+
+
+def test_bulk_route_on_whole_file_variants():
+    text = emit_edge_list(random_nb_graph(150, seed=150))
+    body = text[text.index("\n") :]
+    variants = {
+        "CR LF": text.replace("\n", "\r\n"),
+        "CR": text.replace("\n", "\r"),
+        "no final newline": text[:-1],
+        "two final newlines": text + "\n",
+        "comment at the end": text + "# end\n",
+        "comment in the header": "n 150 # order" + body,
+        "n 0": "n 0" + body,
+        "n 0 alone": "n 0\n",
+        "header only": "n 150\n",
+        "header only, no newline": "n 150",
+        "header on line 3": "\n  \n" + text,
+        "no header": body[1:],
+    }
+    for name, faulty in variants.items():
+        bulk = bulk_agrees(faulty, name)
+        # the route takes no CR and no comment, so such text costs it one scan
+        if "\r" in faulty or "#" in faulty:
+            assert bulk is None, name
+    for name in ("no final newline", "n 0 alone", "header only", "header only, no newline"):
+        assert _parse_canonical(variants[name]) is not None, name
 
 
 def test_label_whitespace_rule_matches_isspace():
