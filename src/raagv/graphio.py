@@ -9,25 +9,25 @@ when every label is a vertex number ``0``..``n-1`` written the way
 get indices in order of first appearance.  The count is an optional sign
 and ASCII digits, and may not exceed ``MAX_VERTICES``.
 
-``parse_edge_list`` takes one of two routes.  The bulk route reads the
-layout ``emit_edge_list`` writes: the header on line 1, then only
-``e <u> <v>`` lines with default labels, and no CR or ``#``.  It walks the
-body in chunks of whole lines, about ``_CHUNK`` characters each, splits each
-chunk once and accepts a chunk of k lines only when it has 3k tokens, each of
-its k lines starts with ``e``, the tokens at positions 0, 3, 6, ... are all
-``e`` and every other token is a default label.  That suffices: a default
-label is digits, so the ``e`` tokens are exactly those at positions 3i, and
-since each of the k lines starts with one of them, line i holds exactly
-tokens 3i..3i+2.  The route never builds the list of all lines, and it never
-raises: any chunk it cannot accept, or a loop edge, sends the whole text to
-the per-line route, which then decides alone.
+``parse_edge_list`` reads the header, then walks the body in chunks of whole
+lines, about ``_CHUNK`` characters each, so it never builds the list of all
+lines.  It splits each chunk once and takes the split whole when the chunk
+has k lines and 3k tokens, each line starts with ``e`` and a space, the chunk
+holds no other ``e`` character and no ``#``, and the tokens at positions 0,
+3, 6, ... are all ``e``.  That suffices whatever the labels: the ``e`` that
+starts a line is a token of its own, and since the chunk holds no other
+``e``, these k tokens are its only ``e`` tokens.  They fill the k positions
+0, 3, ..., 3k - 3, so line i holds exactly tokens 3i..3i+2.  (Without the
+character count a label ``e`` could stand in for a line start: ``e x`` then
+``e e y z`` passes every other check.)  Any other chunk is read line by line.
 
-The per-line route reads the header, then makes one pass over the body that
-ORs each edge into the adjacency masks.  Only a token that is not a default
-label sends it back over the body once more, to number the labels.  Errors
-follow a fixed precedence: the first syntax error in line order, then a label
-beyond the ``n``-th distinct one, then the first loop edge.  Error texts echo
-at most 32 characters of the offending text.
+One pass over the walk ORs each edge into the adjacency masks, reading every
+label as a vertex number.  A token that is not a default label, or a loop
+edge, sends it over the body once more, to number the labels in order of
+first appearance or to name the loop's line.  Errors follow a fixed
+precedence: the first syntax error in line order, then a label beyond the
+``n``-th distinct one, then the first loop edge.  Error texts echo at most 32
+characters of the offending text.
 """
 
 from __future__ import annotations
@@ -92,72 +92,17 @@ class LabelMap:
 
 def parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
     """Parse the edge-list dialect; see the module docstring for the rules."""
-    parsed = _parse_canonical(text)
-    if parsed is not None:
-        return parsed
     # not str.splitlines, which also ends lines at \f, \v, \x1c-\x1e, \x85,
     # U+2028 and U+2029: those are in-line whitespace to str.split
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    n, start = _header(lines)
+    n, pos, lineno = _header(text)
     index = {str(v): v for v in range(n)}
     adj = [0] * n
-    loop = None  # (line number, label) of the first loop edge
-    for lineno, tokens in enumerate(_tokens(text, lines, start), start + 1):
-        if len(tokens) != 3 or tokens[0] != "e":
-            if tokens:
-                raise _syntax_error(tokens, lineno)
-            continue
-        try:
-            u = index[tokens[1]]
-            v = index[tokens[2]]
-        except KeyError:
-            return _parse_labelled(text, lines, n, start)
-        if u == v and loop is None:
-            loop = (lineno, tokens[1])
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    if loop is not None:
-        raise ParseError(f"line {loop[0]}: loop edge on {_echo(loop[1], repr)}")
-    return Graph(n, tuple(adj)), LabelMap(tuple(index))
-
-
-# Characters per chunk of the bulk route, rounded up to a whole line.  A
-# chunk's tokens take about 17 times its text: at 32 kB they outweighed the
-# per-line route's list of lines for a whole 46 kB file, and a smaller chunk
-# only adds calls.
-_CHUNK = 1 << 13
-
-
-def _parse_canonical(text: str) -> tuple[Graph, LabelMap] | None:
-    """The bulk route of the module docstring, or None where it does not apply."""
-    if "\r" in text or "#" in text:
-        return None
-    head = text.find("\n")
-    stop = len(text) - text.endswith("\n")  # the body's last line ends here
-    if head < 0:
-        head = stop
-    try:
-        n, _ = _header([text[:head]])
-    except ParseError:
-        return None
-    index = {str(v): v for v in range(n)}
-    adj = [0] * n
-    pos = head + 1
     prev = None  # the last first endpoint; emit_edge_list writes a row's edges in one run
-    while pos <= stop:
-        end = text.find("\n", pos + _CHUNK, stop)
-        if end < 0:
-            end = stop
-        chunk = text[pos:end]
-        pos = end + 1
-        k = chunk.count("\n") + 1
-        tokens = chunk.split()
-        if len(tokens) != 3 * k or ("\n" + chunk).count("\ne") != k or tokens[0::3].count("e") != k:
-            return None
-        try:
-            for a, b in zip(tokens[1::3], tokens[2::3]):
+    try:
+        for firsts, seconds, _ in _edges(text, pos, lineno):
+            for a, b in zip(firsts, seconds):
                 if a != prev:
                     prev = a
                     u = index[a]
@@ -165,44 +110,87 @@ def _parse_canonical(text: str) -> tuple[Graph, LabelMap] | None:
                 v = index[b]
                 adj[u] |= 1 << v
                 adj[v] |= bit_u
-        except KeyError:
-            return None
+    except KeyError:
+        return _parse_labelled(text, n, pos, lineno)
     if any(row >> v & 1 for v, row in enumerate(adj)):
-        return None  # a loop edge: the per-line route names its line
+        return _parse_labelled(text, n, pos, lineno)  # a loop edge: that pass names its line
     return Graph(n, tuple(adj)), LabelMap(tuple(index))
 
 
-def _header(lines: list[str]) -> tuple[int, int]:
-    """The vertex count and the index of the line that declares it."""
-    for i, raw in enumerate(lines):
+def _header(text: str) -> tuple[int, int, int]:
+    """The vertex count, and the offset and number of the line after the
+    line that declares it."""
+    pos = 0
+    lineno = 1
+    while pos <= len(text):
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        raw = text[pos:end]
         tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        lineno = i + 1
-        if tokens[0] != "n":
-            raise ParseError(f"line {lineno}: expected header 'n <count>', got {_echo(raw.strip(), repr)}")
-        if len(tokens) != 2:
-            raise ParseError(f"line {lineno}: header must be exactly 'n <count>'")
-        count = tokens[1]
-        if not _SIGNED_INT.fullmatch(count):
-            raise ParseError(f"line {lineno}: vertex count {_echo(count, repr)} is not an integer")
-        digits = count.lstrip("+-0")
-        if digits and count[0] == "-":
-            raise ParseError(f"line {lineno}: vertex count must be nonnegative")
-        # the length test comes first: int() refuses over 4300 digits
-        if len(digits) > len(str(MAX_VERTICES)) or int(count) > MAX_VERTICES:
-            limit = f"exceeds the limit of {MAX_VERTICES}"
-            raise ParseError(f"line {lineno}: vertex count {_echo(digits)} {limit}")
-        return int(count), lineno
-    raise ParseError("line 1: missing 'n <count>' header")
+        if tokens:
+            break
+        pos = end + 1
+        lineno += 1
+    else:
+        raise ParseError("line 1: missing 'n <count>' header")
+    if tokens[0] != "n":
+        raise ParseError(f"line {lineno}: expected header 'n <count>', got {_echo(raw.strip(), repr)}")
+    if len(tokens) != 2:
+        raise ParseError(f"line {lineno}: header must be exactly 'n <count>'")
+    count = tokens[1]
+    if not _SIGNED_INT.fullmatch(count):
+        raise ParseError(f"line {lineno}: vertex count {_echo(count, repr)} is not an integer")
+    digits = count.lstrip("+-0")
+    if digits and count[0] == "-":
+        raise ParseError(f"line {lineno}: vertex count must be nonnegative")
+    # the length test comes first: int() refuses over 4300 digits
+    if len(digits) > len(str(MAX_VERTICES)) or int(count) > MAX_VERTICES:
+        limit = f"exceeds the limit of {MAX_VERTICES}"
+        raise ParseError(f"line {lineno}: vertex count {_echo(digits)} {limit}")
+    return int(count), end + 1, lineno + 1
 
 
-def _tokens(text: str, lines: list[str], start: int):
-    """The tokens of each line after ``lines[:start]``, comments removed."""
-    body = lines[start:]
-    if "#" in text:
-        return (raw.split("#", 1)[0].split() for raw in body)
-    return map(str.split, body)
+# Characters per chunk of the body walk, rounded up to a whole line.  A
+# chunk's tokens take about 17 times its text: at 32 kB they outweighed a
+# list of every line of a whole 46 kB file, and a smaller chunk only adds
+# calls.
+_CHUNK = 1 << 13
+
+
+def _edges(text: str, pos: int, lineno: int):
+    """The body from offset ``pos``, line ``lineno`` on, in chunks of whole
+    lines: for each chunk, its edge lines' first endpoints, second endpoints
+    and line numbers.  Raises at the first line that is neither blank nor an
+    edge line."""
+    stop = len(text) - text.endswith("\n")  # the body's last line ends here
+    while pos <= stop:
+        end = text.find("\n", pos + _CHUNK, stop)
+        if end < 0:
+            end = stop
+        chunk = text[pos:end]
+        pos = end + 1
+        k = chunk.count("\n") + 1
+        if (
+            ("\n" + chunk).count("\ne ") == k == chunk.count("e")
+            and "#" not in chunk
+            and len(tokens := chunk.split()) == 3 * k
+            and tokens[0::3] == ["e"] * k
+        ):
+            yield tokens[1::3], tokens[2::3], range(lineno, lineno + k)
+        else:
+            rows = chunk.split("\n")
+            lines = (raw.split("#", 1)[0].split() for raw in rows) if "#" in chunk else map(str.split, rows)
+            tokens = []
+            linenos = []
+            for i, line in enumerate(lines, lineno):
+                if len(line) == 3 and line[0] == "e":
+                    tokens += line
+                    linenos.append(i)
+                elif line:
+                    raise _syntax_error(line, i)
+            yield tokens[1::3], tokens[2::3], linenos
+        lineno += k
 
 
 def _syntax_error(tokens: list[str], lineno: int) -> ParseError:
@@ -214,16 +202,11 @@ def _syntax_error(tokens: list[str], lineno: int) -> ParseError:
     return ParseError(f"line {lineno}: edge line must be exactly 'e <u> <v>'")
 
 
-def _parse_labelled(text: str, lines: list[str], n: int, start: int) -> tuple[Graph, LabelMap]:
-    """The label path: a token that is not a default label was met, so the
-    body is read again with labels indexed in order of first appearance."""
-    raw_edges = []  # (label u, label v, line number)
-    for lineno, tokens in enumerate(_tokens(text, lines, start), start + 1):
-        if len(tokens) != 3 or tokens[0] != "e":
-            if tokens:
-                raise _syntax_error(tokens, lineno)
-            continue
-        raw_edges.append((tokens[1], tokens[2], lineno))
+def _parse_labelled(text: str, n: int, pos: int, lineno: int) -> tuple[Graph, LabelMap]:
+    """The label path: a token that is not a default label, or a loop edge,
+    was met, so the body is read again with labels indexed in order of first
+    appearance."""
+    raw_edges = [edge for chunk in _edges(text, pos, lineno) for edge in zip(*chunk)]
     labels = _assign_labels(n, raw_edges)
     index = {lab: i for i, lab in enumerate(labels.labels)}
     adj = [0] * n

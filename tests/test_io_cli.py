@@ -833,10 +833,19 @@ def parse_peak(text: str) -> int:
 
 
 def test_canonical_edge_list_is_parsed_without_a_list_of_its_lines():
-    # the bulk route holds one chunk's tokens (about 1 MB) and the masks,
-    # which is 0.6 times this 1.7 MB text; a list of every line took 7 times
+    # the body walk holds one chunk's tokens and the masks, about a fifth
+    # of this 1.7 MB text; a list of every line took 7 times
     text = emit_edge_list(random_nb_graph(600, seed=1))
     assert parse_peak(text) <= len(text)
+
+
+def test_indented_or_commented_edge_list_is_parsed_without_a_list_of_its_lines():
+    # a chunk read line by line holds its own lines only, so these copies
+    # peak at about a fifth of their text too
+    text = emit_edge_list(random_nb_graph(600, seed=1))
+    indented = "".join(" " + line for line in text.splitlines(True))
+    for copy in (indented, "# comment\n" + text):
+        assert parse_peak(copy) <= len(copy)
 
 
 def test_header_only_edge_list_allocates_no_table_of_bits():

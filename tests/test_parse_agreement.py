@@ -3,9 +3,9 @@ references in helpers.
 
 ``parse_edge_list`` must return the same graph and labels as the two-pass
 reference, or raise ``ParseError`` with the same message, on fuzzed text and
-on canonical text with one fault placed before, at and after a chunk
-boundary of the bulk route; the bulk route alone must either decline or
-agree.
+on canonical text with one fault placed before, at and after a boundary of
+the chunks its body walk reads, with vertex numbers as labels and with the
+label pass that one non-default label starts.
 The graph6 codec must agree with the per-bit reference wherever that one
 works: n <= 62 and input that does not start with ``~``.  The triple scan,
 the edge-list writer and the presentation writer must give exactly the
@@ -29,7 +29,7 @@ from raagv import (
     parse_edge_list,
     parse_graph6,
 )
-from raagv.graphio import _CHUNK, _parse_canonical
+from raagv.graphio import _CHUNK
 from raagv.harness import enumerate_graphs, random_graph, random_nb_graph
 
 from helpers import (
@@ -146,45 +146,77 @@ LINE_FAULTS = {
     "comment line": lambda u, v: f"#\ne {u} {v}",
     "hash in a token": lambda u, v: f"e {u} {v}#",
     "second header": lambda u, v: f"n 150\ne {u} {v}",
+    "short and long line": lambda u, v: f"e {u}\ne {v} {u} {v}",
+    # passes every chunk check but the count of the character e
+    "label e pair": lambda u, v: "e x\ne e y z",
+    "token ex": lambda u, v: f"e {u} {v} e\nex 3",
 }
 
 
+def chunk_starts(text: str) -> list[int]:
+    """Where each chunk of the body walk starts, for a header on line 1."""
+    starts = [text.index("\n") + 1]
+    while (end := text.find("\n", starts[-1] + _CHUNK)) >= 0:
+        starts.append(end + 1)
+    return starts
+
+
+def line_at(text: str, pos: int) -> int:
+    """The index of the line that holds offset ``pos``."""
+    return text.count("\n", 0, pos)
+
+
 def fault_lines(text: str) -> dict[str, int]:
-    """Indices of body lines before, at and after the bulk route's first
-    chunk boundary, and of a line late in the file."""
-    head = text.index("\n") + 1
-    boundary = text.index("\n", head + _CHUNK)
-    line_at = lambda pos: text.count("\n", 0, pos)
+    """Indices of body lines before, at and after the first chunk boundary,
+    and of a line late in the file."""
+    head, second = chunk_starts(text)[:2]
     return {
-        "before": line_at(head + _CHUNK // 2),
-        "ends the first chunk": line_at(boundary),
-        "starts the second chunk": line_at(boundary) + 1,
+        "before": line_at(text, head + _CHUNK // 2),
+        "ends the first chunk": line_at(text, second) - 1,
+        "starts the second chunk": line_at(text, second),
         "late": text.count("\n") - 2,
     }
 
 
-def bulk_agrees(text: str, case):
-    """Check that both parsers agree on ``text`` and that the bulk route
-    alone declines or agrees too; return what the bulk route gave."""
-    expected = outcome(reference_parse_edge_list, text)
-    assert outcome(parse_edge_list, text) == expected, case
-    bulk = _parse_canonical(text)
-    assert bulk is None or (bulk[0].n, bulk[0].adj, bulk[1].labels) == expected, case
-    return bulk
+def agrees(text: str, case) -> None:
+    assert outcome(parse_edge_list, text) == outcome(reference_parse_edge_list, text), case
 
 
-def test_bulk_route_declines_or_agrees_across_chunk_boundaries():
+def test_parser_agrees_across_chunk_boundaries():
     text = emit_edge_list(random_nb_graph(150, seed=150))
     assert len(text) > 2 * _CHUNK
-    assert _parse_canonical(text) == reference_parse_edge_list(text)
+    assert parse_edge_list(text) == reference_parse_edge_list(text)
+    # the x on line 2 sends every case of this copy to the label pass
+    labelled = "n 151\ne 0 x\n" + text[text.index("\n") + 1 :]
+    for base in (text, labelled):
+        lines = base.split("\n")
+        for where, i in fault_lines(base).items():
+            _, u, v = lines[i].split()
+            for name, fault in LINE_FAULTS.items():
+                agrees("\n".join(lines[:i] + [fault(u, v)] + lines[i + 1 :]), (base[:5], where, name))
+
+
+def test_error_precedence_across_chunks():
+    # a loop in chunk 1, a label past the 150th in chunk 2, a bad line in chunk 3
+    text = emit_edge_list(random_nb_graph(150, seed=150))
     lines = text.split("\n")
-    for where, i in fault_lines(text).items():
-        _, u, v = lines[i].split()
-        for name, fault in LINE_FAULTS.items():
-            bulk_agrees("\n".join(lines[:i] + [fault(u, v)] + lines[i + 1 :]), (where, name))
+    loop, label, bad = (line_at(text, start + _CHUNK // 2) for start in chunk_starts(text)[:3])
+    lines[loop] = "e 7 7"
+    lines[label] = "e 1 new"
+    both = "\n".join(lines)
+    lines[bad] = "x 1 2"
+    all_three = "\n".join(lines)
+    first_lines = [line_at(all_three, start) for start in chunk_starts(all_three)]
+    assert first_lines[0] <= loop < first_lines[1] <= label < first_lines[2] <= bad < first_lines[3]
+    with pytest.raises(ParseError, match=rf"^line {bad + 1}: unknown directive 'x'$"):
+        parse_edge_list(all_three)
+    with pytest.raises(ParseError, match=rf"^line {label + 1}: label 'new' is the 151-th distinct label"):
+        parse_edge_list(both)
+    agrees(all_three, "all three")
+    agrees(both, "without the bad line")
 
 
-def test_bulk_route_on_whole_file_variants():
+def test_parser_on_whole_file_variants():
     text = emit_edge_list(random_nb_graph(150, seed=150))
     body = text[text.index("\n") :]
     variants = {
@@ -202,12 +234,7 @@ def test_bulk_route_on_whole_file_variants():
         "no header": body[1:],
     }
     for name, faulty in variants.items():
-        bulk = bulk_agrees(faulty, name)
-        # the route takes no CR and no comment, so such text costs it one scan
-        if "\r" in faulty or "#" in faulty:
-            assert bulk is None, name
-    for name in ("no final newline", "n 0 alone", "header only", "header only, no newline"):
-        assert _parse_canonical(variants[name]) is not None, name
+        agrees(faulty, name)
 
 
 def test_label_whitespace_rule_matches_isspace():
