@@ -21,13 +21,14 @@ starts a line is a token of its own, and since the chunk holds no other
 character count a label ``e`` could stand in for a line start: ``e x`` then
 ``e e y z`` passes every other check.)  Any other chunk is read line by line.
 
-One pass over the walk ORs each edge into the adjacency masks, reading every
-label as a vertex number.  A token that is not a default label, or a loop
-edge, sends it over the body once more, to number the labels in order of
-first appearance or to name the loop's line.  Errors follow a fixed
-precedence: the first syntax error in line order, then a label beyond the
-``n``-th distinct one, then the first loop edge.  Error texts echo at most 32
-characters of the offending text.
+One pass over the walk reads every label as a vertex number and ORs each edge
+into its second endpoint's mask, and each run of edges with one first
+endpoint, a row as ``emit_edge_list`` writes it, into that endpoint's mask at
+once.  A token that is not a default label, or a loop edge, sends it over the
+body once more, to number the labels in order of first appearance or to name
+the loop's line.  Errors follow a fixed precedence: the first syntax error in
+line order, then a label beyond the ``n``-th distinct one, then the first loop
+edge.  Error texts echo at most 32 characters of the offending text.
 """
 
 from __future__ import annotations
@@ -81,13 +82,22 @@ class LabelMap:
 
     @staticmethod
     def default(n: int) -> LabelMap:
-        return LabelMap(tuple(str(v) for v in range(n)))
+        return _default_map(tuple(map(str, range(n))))
 
     def label(self, v: int) -> str:
         return self.labels[v]
 
     def is_default(self) -> bool:
         return all(s == str(i) for i, s in enumerate(self.labels))
+
+
+def _default_map(labels: tuple[str, ...]) -> LabelMap:
+    """The map of ``labels``, which are ``str(v)`` for v = 0, 1, ...: unique,
+    nonempty and free of whitespace and ``#`` by construction, so the
+    per-label checks of ``__post_init__`` are skipped."""
+    m = object.__new__(LabelMap)
+    object.__setattr__(m, "labels", labels)
+    return m
 
 
 def parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
@@ -99,22 +109,28 @@ def parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
     n, pos, lineno = _header(text)
     index = {str(v): v for v in range(n)}
     adj = [0] * n
-    prev = None  # the last first endpoint; emit_edge_list writes a row's edges in one run
+    prev = None  # the first endpoint of the current run, u, whose second endpoints gather in run
+    u = run = 0
     try:
         for firsts, seconds, _ in _edges(text, pos, lineno):
             for a, b in zip(firsts, seconds):
                 if a != prev:
+                    if run:
+                        adj[u] |= run
                     prev = a
                     u = index[a]
                     bit_u = 1 << u
+                    run = 0
                 v = index[b]
-                adj[u] |= 1 << v
+                run |= 1 << v
                 adj[v] |= bit_u
     except KeyError:
         return _parse_labelled(text, n, pos, lineno)
+    if run:
+        adj[u] |= run
     if any(row >> v & 1 for v, row in enumerate(adj)):
         return _parse_labelled(text, n, pos, lineno)  # a loop edge: that pass names its line
-    return Graph(n, tuple(adj)), LabelMap(tuple(index))
+    return Graph(n, tuple(adj)), _default_map(tuple(index))
 
 
 def _header(text: str) -> tuple[int, int, int]:
@@ -255,8 +271,9 @@ def emit_edge_list(g: Graph, labels: LabelMap | None = None) -> str:
     names = labels.labels
     lines = [f"n {g.n}"]
     for u, row in enumerate(g.adj):
-        head = f"e {names[u]} "
-        lines.extend([head + names[v] for v in _bits(row >> u + 1 << u + 1)])
+        if upper := row >> u + 1 << u + 1:
+            head = f"e {names[u]} "
+            lines.append(head + ("\n" + head).join(map(names.__getitem__, _bits(upper))))
     return "\n".join(lines) + "\n"
 
 
@@ -353,7 +370,8 @@ def emit_dot(
             out.append("  }")
     ends = [f"{v};" for v in range(g.n)]
     for u, row in enumerate(g.adj):
-        head = f"  {u} -- "
-        out.extend([head + ends[v] for v in _bits(row >> u + 1 << u + 1)])
+        if upper := row >> u + 1 << u + 1:
+            head = f"  {u} -- "
+            out.append(head + ("\n" + head).join(map(ends.__getitem__, _bits(upper))))
     out.append("}")
     return "\n".join(out) + "\n"

@@ -88,8 +88,12 @@ def emit_presentation(g: Graph) -> str:
     """Standard presentation text: generators x0..x{n-1}, one commutation
     relation per edge, edges in lexicographic order."""
     gens = ",".join(f"x{v}" for v in range(g.n))
+    # the relation of edge (u, v) is x{u} + swaps[v] + x{u}, so a row joins its
+    # swaps with x{u},x{u}
+    swaps = [f"x{v}=x{v}" for v in range(g.n)]
     rels = []
     for u, row in enumerate(g.adj):
-        xu = f"x{u}"
-        rels.extend([f"{xu}x{v}=x{v}{xu}" for v in _bits(row >> u + 1 << u + 1)])
+        if upper := row >> u + 1 << u + 1:
+            xu = f"x{u}"
+            rels.append(xu + f"{xu},{xu}".join(map(swaps.__getitem__, _bits(upper))) + xu)
     return f"⟨{gens} | {','.join(rels)}⟩"

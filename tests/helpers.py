@@ -468,8 +468,9 @@ def boundary_sweep(n: int) -> tuple[int, int, list[Graph]]:
 
     Returns the pattern-free members, the pattern-free flips, and the graphs
     on which the deciders disagree, a positive greedy partition differs from
-    the recognizer's, a greedy witness fails ``holds_in``, or the greedy
-    builder's result differs from :func:`two_phase_greedy_partition`'s.
+    the recognizer's, a greedy witness fails ``holds_in``, the greedy
+    builder's result differs from :func:`two_phase_greedy_partition`'s, or
+    the least witness differs from :func:`reference_find_forbidden_triple`'s.
     """
     members = flips = 0
     bad: list[Graph] = []
@@ -483,16 +484,18 @@ def boundary_sweep(n: int) -> tuple[int, int, list[Graph]]:
 
 def _decide(g: Graph, bad: list[Graph]) -> bool:
     """The triple scan's verdict, with g appended to ``bad`` when the greedy
-    builder or the recognizer says otherwise, the greedy witness fails, or
-    the greedy builder strays from the two-phase one."""
-    free = find_forbidden_triple(g) is None
+    builder or the recognizer says otherwise, the greedy witness fails, the
+    greedy builder strays from the two-phase one, or the triple scan names
+    another triple than the reference scan."""
+    witness = find_forbidden_triple(g)
+    free = witness is None
     greedy = greedy_partition(g)
     part = recognize_multipartite(g)
     if isinstance(greedy, CommutingPartition):
         ok = free and part is not None and greedy.family() == part.family()
     else:
         ok = not free and part is None and greedy.holds_in(g)
-    if not ok or greedy != two_phase_greedy_partition(g):
+    if not ok or greedy != two_phase_greedy_partition(g) or witness != reference_find_forbidden_triple(g):
         bad.append(g)
     return free
 
@@ -551,11 +554,12 @@ def reference_parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
     return new_graph(n, edges), labels
 
 
-def reference_find_forbidden_triple(g: Graph) -> ForbiddenTriple | None:
+def reference_find_forbidden_triple(g: Graph, start: int = 0) -> ForbiddenTriple | None:
+    """The least witness whose first vertex is ``start`` or later."""
     full = (1 << g.n) - 1
     for a, b in reference_edges(g):
         free = full & ~(g.adj[a] | g.adj[b] | 1 << a | 1 << b)
-        if free:
+        if free and a >= start:
             return ForbiddenTriple(a, b, (free & -free).bit_length() - 1)
     return None
 

@@ -150,6 +150,14 @@ def test_label_map_validation():
         LabelMap(("a#b", "c", "d"))
 
 
+def test_default_label_maps_equal_the_checked_map():
+    # both build their map of str(v) labels without __post_init__'s checks
+    for n in (0, 1, 2, 150):
+        checked = LabelMap(tuple(map(str, range(n))))
+        assert LabelMap.default(n) == checked
+        assert parse_edge_list(f"n {n}\n")[1] == checked
+
+
 # a comment sign, DOT's quote and escape, a space, digits that read as vertex
 # numbers and the letters of the two directives
 LABEL_CHARS = 'ab01en_#"\\ '
@@ -849,6 +857,6 @@ def test_indented_or_commented_edge_list_is_parsed_without_a_list_of_its_lines()
 
 
 def test_header_only_edge_list_allocates_no_table_of_bits():
-    # the label index and the label map take about 12 MB at MAX_VERTICES;
+    # the label index and the label map take about 9 MB at MAX_VERTICES;
     # a table of every label's bit would take about n * n / 16 = 268 MB
     assert parse_peak(f"n {MAX_VERTICES}\n") < 16 << 20

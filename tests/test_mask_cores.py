@@ -8,6 +8,8 @@ core decides by "no failing row", which is what ``validate_partition``
 tests on the blocks it cut.
 """
 
+import random
+
 import pytest
 
 from raagv import (
@@ -23,12 +25,12 @@ from raagv import (
     recognize_multipartite,
     validate_partition,
 )
-from raagv.classify import _least_triple, _twin_blocks
+from raagv.classify import _least_by_class, _least_triple, _twin_blocks
 from raagv.graphs import _bits
-from raagv.harness import enumerate_graphs
+from raagv.harness import enumerate_graphs, random_nb_graph
 from raagv.partition import _greedy_cuts
 
-from helpers import boundary_graphs, two_phase_cuts
+from helpers import boundary_graphs, near_misses, reference_find_forbidden_triple, two_phase_cuts
 
 
 def assert_wraps_its_core(g: Graph) -> None:
@@ -94,3 +96,39 @@ def test_cross_check_draws_every_graph_through_the_module_generator(monkeypatch)
     report = cross_check(4)
     assert len(drawn) == report.total_graphs == 64
     assert (report.nb_count, report.gp_count, report.mismatches) == (15, 15, ())
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_class_scan_from_every_row_agrees_with_the_reference(n):
+    # the triple scan groups twins only past its budget, which no graph of
+    # up to seven vertices spends; from a given row on, the class phase alone
+    # must name the least witness whose first vertex is that row or later
+    for g, _ in boundary_graphs(n):
+        for start in range(n):
+            witness = reference_find_forbidden_triple(g, start)
+            expected = None if witness is None else (witness.a, witness.b, witness.c)
+            assert _least_by_class(g.adj, start) == expected, (g, start)
+
+
+class CountingRows(tuple):
+    """Adjacency rows that count their reads by index.  The triple scan reads
+    a row by index for each neighbour b it tests one by one, and once it
+    groups twins, twice for each later vertex and once for the b it returns."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_triple_scan_groups_twins_once_its_budget_is_spent(n):
+    # the plain scan may reject n + 16 neighbours, plus the rest of the row
+    # that spends the budget; a member would otherwise test every edge, over
+    # n * n / 4 of them
+    member = random_nb_graph(n, seed=n)
+    for g in (member, *near_misses(member, random.Random(n))):
+        rows = CountingRows(g.adj)
+        assert _least_triple(rows) == _least_triple(g.adj)
+        assert rows.reads <= 4 * n + 16

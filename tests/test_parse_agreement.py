@@ -10,7 +10,8 @@ The graph6 codec must agree with the per-bit reference wherever that one
 works: n <= 62 and input that does not start with ``~``.  The triple scan,
 the edge-list writer and the presentation writer must give exactly the
 reference output on every graph with at most six vertices and on seeded
-large near misses.
+large near misses, and so must the DOT writer, with and without a partition
+and labels.
 """
 
 import random
@@ -20,20 +21,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raagv import (
+    Graph,
     LabelMap,
     ParseError,
+    emit_dot,
     emit_edge_list,
     emit_graph6,
     emit_presentation,
     find_forbidden_triple,
     parse_edge_list,
     parse_graph6,
+    recognize_multipartite,
 )
 from raagv.graphio import _CHUNK
 from raagv.harness import enumerate_graphs, random_graph, random_nb_graph
 
 from helpers import (
     near_misses,
+    reference_emit_dot,
     reference_emit_edge_list,
     reference_emit_graph6,
     reference_emit_presentation,
@@ -258,15 +263,25 @@ def large_graphs(n: int):
     return (random_graph(n, 0.5, seed=n), member, *near_misses(member, rng))
 
 
+def dots_agree(g: Graph, labels: LabelMap) -> None:
+    """``emit_dot`` as the reference writes it, with and without the
+    recognizer's partition (None off the class) and ``labels``."""
+    part = recognize_multipartite(g)
+    for args in ((), (part,), (None, labels), (part, labels)):
+        assert emit_dot(g, *args) == reference_emit_dot(g, *args)
+
+
 def test_row_walks_agree_on_every_graph_up_to_six_vertices():
     for n in range(7):
+        labels = LabelMap(tuple(f"v{v}" for v in range(n)))
         for g in enumerate_graphs(n):
             assert find_forbidden_triple(g) == reference_find_forbidden_triple(g)
             assert emit_edge_list(g) == reference_emit_edge_list(g)
             assert emit_presentation(g) == reference_emit_presentation(g)
+            dots_agree(g, labels)
 
 
-@pytest.mark.parametrize("n", [200, 1000])
+@pytest.mark.parametrize("n", [200, 1000, pytest.param(2000, marks=pytest.mark.slow)])
 def test_row_walks_agree_on_large_near_misses(n):
     for g in large_graphs(n):
         assert find_forbidden_triple(g) == reference_find_forbidden_triple(g)
@@ -278,6 +293,7 @@ def test_large_round_trips_agree_with_reference():
         assert emit_presentation(g) == reference_emit_presentation(g)
         assert parse_edge_list(emit_edge_list(g)) == (g, LabelMap.default(g.n))
         labels = LabelMap(tuple(f"v{v}" for v in range(g.n)))
+        dots_agree(g, labels)
         text = emit_edge_list(g, labels)
         assert text == reference_emit_edge_list(g, labels)
         assert parse_edge_list(text) == reference_parse_edge_list(text)
