@@ -5,9 +5,9 @@ Vertices are the dense integers 0..n-1.  Adjacency is stored as one bitmask
 per vertex (bit v of ``adj[u]`` is set iff u and v are joined), which keeps
 pair queries O(1) and makes the set manipulations used by the classifiers
 cheap at the scales this library targets.  ``_bits`` lists a mask's vertices
-by the mask's size: a table lookup below 256, a low-bit loop for masks under
-64 bits or sparser than one bit in 16, and a walk over the binary digits for
-the rest.
+by the mask's size: a table lookup below 256, a low-bit loop for masks with
+fewer than 8 bits set or sparser than one bit in 16, and a walk over the
+binary digits for the rest.
 
 The deciders' two result types live here too, so that no decider imports
 another: :class:`CommutingPartition` for a graph that avoids the forbidden
@@ -131,9 +131,11 @@ def _bits(mask: int) -> tuple[int, ...]:
     if mask < 256:
         return _SMALL_BITS[mask]
     length = mask.bit_length()
-    if length < 64 or 16 * mask.bit_count() < length:
+    k = mask.bit_count()
+    if k < 8 or 16 * k < length:
         # clearing the low bit copies the whole integer, so this loop costs
-        # O(k * length / 64) and wins only where k, the bit count, is small
+        # O(k * length / 64) and wins only where k is small: below 7 to 11
+        # at every length under 128, below about length / 16 far above it
         out = []
         while mask:
             low = mask & -mask

@@ -4,17 +4,19 @@ Words are evaluated in a faithful linear model of the direct-product group:
 a net exponent per p0 vertex and a 2x2 integer matrix product per part.  A
 part maps its j-th vertex (ascending, from j = 0) to A^j B A^-j, where
 A = [[1,2],[0,1]] and B = [[1,0],[2,1]] generate a free group of rank two
-and their conjugates freely generate a free subgroup of any finite rank.
-The table from signed letters to matrices is filled in closed form:
-A^j B A^-j = [[1+4j, -8j^2], [2, 1-4j]], inverse [[1-4j, 8j^2], [-2, 1+4j]].
-The table and the sorted p0 order are built once per partition object and
-kept on that object.  One pass buckets the letters by part; every factor of a
-bucket is multiplied in full, in order, in exact integers.  A bucket of at
-most ``_FOLD_MAX`` letters is folded left to right in one loop; a longer one
-goes through a balanced pairwise product tree, which pairs factors of similar
-size instead of growing one running product a letter at a time.  Short words
-leave short buckets, where the tree's lists per level cost more than its
-balance saves.
+and their conjugates freely generate a free subgroup of any finite rank
+(Sanov).  A^j = [[1,2j],[0,1]] and B^s = [[1,0],[2s,1]] are elementary, so
+the table from signed letters keeps only each letter's part and the pair
+(2j, 2s); p0 letters map to one more bucket.  The table and the p0 zero
+exponents (vertex ascending) are built once per partition object and kept on
+that object.
+
+One pass buckets the letters of the parts the word meets.  Each bucket is
+folded in runs of ``_RUN`` letters, where the A powers of neighbouring
+letters merge: a run costs two column operations per letter, and its
+product goes into a balanced pairwise product tree, which pairs products of
+similar size instead of growing one running product a letter at a time.
+Every factor is multiplied in full, in order, in exact integers.
 
 Nothing here touches the free reduction of ``words`` that this module is
 used to cross-check; only the raw letters and the partition go in.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 from .graphs import CommutingPartition, _block_masks
 from .words import Word
@@ -33,16 +35,7 @@ Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 IDENTITY: Matrix = ((1, 0), (0, 1))
 
-# Buckets up to this length are folded left to right, longer ones go through
-# the product tree.  The path is chosen by bucket length, a property of the
-# input: a short word (tens of letters over several parts) leaves a few
-# letters per bucket, where the tree's lists per level cost more than its
-# balance saves; a long word (thousands of letters) leaves long buckets, where
-# the tree keeps the big-integer products balanced.  The benchmark's
-# word_certify runs both sides: its short ops have buckets of 1 to about 17
-# letters, most under 10, and its long ops of about 900 to 1,200.  16 was
-# measured: 8 saves less on short words, 32 no more.
-_FOLD_MAX = 16
+_RUN = 16  # letters folded into one product before the tree; 8 to 32 measured the same
 
 
 @dataclass(frozen=True)
@@ -64,44 +57,67 @@ def evaluate_word(p: CommutingPartition, w: Word) -> MatrixImage:
     Raises ValueError when the blocks do not partition 0..n-1, n being the
     number of vertices they hold, or at a letter outside the model."""
     kept = vars(p).get("_oracle_table")
-    if kept is None:  # (vertex, sign) -> (part index, generator a, b, c, d); the p0 order
+    if kept is None:  # (vertex, sign) -> (part index, (2j, 2 sign)) or (k, itself); p0 zeros
         _block_masks(p.blocks(), len(p.p0) + sum(map(len, p.parts)))
         table = {}
         for i, part in enumerate(p.parts):
             for j, v in enumerate(sorted(part)):
-                t, q = 4 * j, 8 * j * j
-                table[v, 1] = (i, (1 + t, -q, 2, 1 - t))
-                table[v, -1] = (i, (1 - t, q, -2, 1 + t))
-        kept = vars(p)["_oracle_table"] = table, tuple(sorted(p.p0))
-    table, p0 = kept
-    exps = dict.fromkeys(p0, 0)
-    buckets: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)  # parts the word meets
+                table[v, 1], table[v, -1] = (i, (2 * j, 2)), (i, (2 * j, -2))
+        k = len(p.parts)  # p0 letters share one bucket, after the parts
+        for v in p.p0:
+            table[v, 1], table[v, -1] = (k, (v, 1)), (k, (v, -1))
+        kept = vars(p)["_oracle_table"] = table, tuple((v, 0) for v in sorted(p.p0))
+    table, exps = kept
+    buckets: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)  # parts the word meets
+    try:
+        for i, f in map(table.get, w):
+            buckets[i].append(f)
+    except TypeError:  # a letter outside the table fails to unpack (or to hash)
+        _raise_bad_letter(p, table, w)
+        raise
+    p0_letters = buckets.pop(len(p.parts), None)
+    if p0_letters:  # else the kept zero exponents serve as they are
+        counts = dict(exps)
+        for v, s in p0_letters:
+            counts[v] += s
+        exps = tuple(counts.items())
+    mats = [IDENTITY] * len(p.parts)
+    for i, fs in buckets.items():
+        # a part letter's pair (2j, 2s) stands for A^j B^s A^-j, and within a
+        # run the A powers of neighbouring letters merge: the first letter
+        # gives M = A^j B^s, each later one M.A^(j - j') (j' the previous j)
+        # and M.B^s, one column operation each, and M.A^-j ends the run
+        ms = []
+        it = iter(fs)
+        for q, s in it:
+            a, b, c, d = 1 + q * s, q, s, 1
+            for t, s in islice(it, _RUN - 1):
+                e = t - q
+                b += e * a
+                d += e * c
+                a += s * b
+                c += s * d
+                q = t
+            ms.append((a, b - q * a, c, d - q * c))
+        while len(ms) > 1:  # adjacent pairs, in order; an odd tail pairs with the identity
+            it = iter(ms)
+            ms = [
+                (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                for (a, b, c, d), (e, f, g, h) in zip_longest(it, it, fillvalue=(1, 0, 0, 1))
+            ]
+        [(a, b, c, d)] = ms
+        mats[i] = ((a, b), (c, d))
+    return MatrixImage(exps, tuple(mats))
+
+
+def _raise_bad_letter(p: CommutingPartition, table: dict, w: Word) -> None:
+    """Raise ValueError at the first letter of w outside the table; return
+    if there is none.  A letter that has no hash or no two items raises
+    what hashing or unpacking it raises."""
     for letter in w:
-        entry = table.get(letter)
-        if entry is not None:
-            buckets[entry[0]].append(entry[1])
+        if letter in table:
             continue
         vertex, sign = letter
-        if vertex in exps and sign in (1, -1):
-            exps[vertex] += sign
-        elif vertex in exps or any(vertex in part for part in p.parts):
+        if vertex in p.p0 or any(vertex in part for part in p.parts):
             raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-        else:
-            raise ValueError(f"letter vertex {vertex} is not covered by the partition")
-    mats = [IDENTITY] * len(p.parts)
-    for i, ms in buckets.items():
-        if len(ms) <= _FOLD_MAX:  # a running product, left to right
-            it = iter(ms)
-            a, b, c, d = next(it)
-            for e, f, g, h in it:
-                a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-        else:
-            while len(ms) > 1:  # adjacent pairs, in order; an odd tail pairs with the identity
-                it = iter(ms)
-                ms = [
-                    (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-                    for (a, b, c, d), (e, f, g, h) in zip_longest(it, it, fillvalue=(1, 0, 0, 1))
-                ]
-            [(a, b, c, d)] = ms
-        mats[i] = ((a, b), (c, d))
-    return MatrixImage(tuple(exps.items()), tuple(mats))
+        raise ValueError(f"letter vertex {vertex} is not covered by the partition")

@@ -5,9 +5,12 @@ free-abelian factor (the p0 vertices) with one free factor per part, so a
 word is trivial exactly when its signed letter counts on p0 vanish and its
 projection onto every part freely reduces to the empty word.
 
-A :class:`GroupModel` reads both off in one pass over the word, with an
-owner table from vertex to part, one exponent counter per p0 vertex and one
-free-reduction stack per part: O(|w|) after an O(n) build.
+A :class:`GroupModel` reads both off in one pass over the word, with one
+free-reduction stack per part and one more for all of p0, whose net
+exponents are summed from what is left on it: O(|w|) after an O(n) build.
+Its letter table, compiled on the first word and kept on the model, maps
+each generator and inverse to its stack and to the model's own letter and
+inverse, so each letter costs one lookup and an identity test.
 :func:`normal_form` compiles each graph object to its model (or forbidden
 triple) once and keeps it on that object, so it lives as long as the graph.
 """
@@ -68,25 +71,34 @@ class GroupModel:
 
     def normal_form(self, w: Word) -> NormalForm:
         """Normal form of w; raises ValueError at the first letter that is no
-        generator of the model's graph or whose sign is not +1 or -1."""
-        owner, n = self.owner, len(self.owner)
-        exps = dict.fromkeys(self.p0, 0)
-        stacks: list[list[Letter]] = [[] for _ in range(self.part_count)]
-        for letter in w:
-            v, s = letter
-            if not 0 <= v < n or (s != 1 and s != -1):
-                _check_word(n, (letter,))  # raises with the letter's error text
-            i = owner[v]
-            if i < 0:
-                exps[v] += s
-                continue
-            stack = stacks[i]
-            if stack:
-                top = stack[-1]
-                if top[0] == v and top[1] == -s:
+        generator of the model's graph or whose sign is not +1 or -1.  A
+        letter is looked up by value, so ``(0.0, 1)`` is ``Letter(0, 1)``, a
+        letter that has no hash (a list) raises TypeError, and the part
+        words hold the model's own letters."""
+        table = vars(self).get("_letters")
+        if table is None:  # Letter(v, +-1) -> (stack index, that letter, its inverse)
+            table = vars(self)["_letters"] = {}
+            for v, i in enumerate(self.owner):
+                x, inv = Letter(v, 1), Letter(v, -1)
+                i = self.part_count if i < 0 else i  # p0 shares one stack, after the parts
+                table[x], table[inv] = (i, x, inv), (i, inv, x)
+        stacks: list[list[Letter]] = [[] for _ in range(self.part_count + 1)]
+        try:
+            for i, x, inv in map(table.get, w):
+                stack = stacks[i]
+                if stack and stack[-1] is inv:
                     stack.pop()
-                    continue
-            stack.append(letter)
+                else:
+                    stack.append(x)
+        except TypeError:  # a letter outside the table fails to unpack (or to hash)
+            for letter in w:  # raise the first bad letter's own error
+                _check_word(len(self.owner), (letter,))  # ValueError: vertex or sign
+                if letter not in table:  # TypeError: no hash
+                    self.owner[letter[0]]  # TypeError: a vertex such as 0.5 is no index
+            raise
+        exps = dict.fromkeys(self.p0, 0)
+        for v, s in stacks.pop():  # cancelling v v^-1 there changed no net exponent
+            exps[v] += s
         return NormalForm(tuple(exps.items()), tuple(map(tuple, stacks)))
 
 

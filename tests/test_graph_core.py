@@ -136,8 +136,11 @@ def bits_cases():
     for length in (63, 64, 65):
         top = 1 << length - 1
         yield from (top, top | 1, (top << 1) - 1, top | 0x5555)
-    # the loop is kept while 16 * bit_count < bit_length
-    for length in (64, 65, 1000, 4096):
+    # the loop is kept while bit_count < 8 or 16 * bit_count < bit_length
+    for length in range(9, 64):
+        for count in (1, 7, 8, 9, length - 1, length):
+            yield (1 << length - 1) | (1 << count - 1) - 1
+    for length in (64, 65, 127, 128, 129, 1000, 4096):
         for count in (length // 16 - 1, length // 16, length // 16 + 1):
             yield (1 << length - 1) | (1 << count - 1) - 1
     yield from (0, 1 << 65535, (1 << 65536) - 1)

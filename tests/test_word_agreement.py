@@ -13,8 +13,8 @@ import random
 import pytest
 
 from raagv import CommutingPartition, Letter, canonical_partition, group_model, normal_form
-from raagv.harness import enumerate_graphs, random_nb_graph
-from raagv.matrixrep import _FOLD_MAX, evaluate_word
+from raagv.harness import enumerate_graphs, graph_from_family, random_nb_graph
+from raagv.matrixrep import _RUN, evaluate_word
 
 from helpers import (
     complete_graph,
@@ -86,7 +86,8 @@ def test_closed_form_generators_match_matrix_products():
 
 
 def test_product_tree_on_every_bucket_length_up_to_seventeen():
-    # lengths 0 and 1, every fold up to _FOLD_MAX = 16 letters and the first tree, on one part
+    # lengths 0 and 1, every single run up to _RUN = 16 letters and the first tree, on one part
+    assert _RUN == 16
     rng = random.Random(17)
     p = CommutingPartition(frozenset(), (frozenset({0, 1, 2}),))
     for length in range(18):
@@ -97,19 +98,20 @@ def test_product_tree_on_every_bucket_length_up_to_seventeen():
 
 def interleave(rng: random.Random, runs) -> tuple[Letter, ...]:
     """A random merge of the runs that keeps each run's own order."""
-    rests = [list(run) for run in runs if run]
+    rests = [run[::-1] for run in runs if run]
     w = []
     while rests:
         run = rng.choice(rests)
-        w.append(run.pop(0))
+        w.append(run.pop())
         if not run:
             rests.remove(run)
     return tuple(w)
 
 
 def test_fold_and_tree_on_both_sides_of_the_threshold():
-    # bucket lengths: none, one, both sides of _FOLD_MAX, and a tree with an odd tail
-    lengths = (0, 1, _FOLD_MAX - 1, _FOLD_MAX, _FOLD_MAX + 1, 2 * _FOLD_MAX + 1)
+    # the threshold is the run length; bucket lengths: none, one, both sides of
+    # one run, two runs and a letter (a tree with an odd tail), and 625 runs
+    lengths = (0, 1, _RUN - 1, _RUN, _RUN + 1, 2 * _RUN + 1, 10_000)
     parts = tuple(frozenset(range(2 + 3 * i, 5 + 3 * i)) for i in range(len(lengths)))
     rng = random.Random(14)
     for _ in range(10):
@@ -142,6 +144,63 @@ def test_product_tree_on_a_long_word():
     p = canonical_partition(g)
     assert isinstance(p, CommutingPartition)
     assert_agree(g, p, random_word(random.Random(40), 20, 40_000))
+
+
+def test_letter_shapes_agree_with_the_references():
+    # two p0 vertices, a part of 300 vertices and one of two
+    p = CommutingPartition(frozenset({0, 1}), (frozenset(range(2, 302)), frozenset({302, 303})))
+    g = graph_from_family(304, p.p0, p.parts)
+    assert canonical_partition(g) == p
+    rng = random.Random(25)
+    every = [Letter(v, rng.choice((1, -1))) for v in range(2, 302)]  # every vertex of the big part
+    rng.shuffle(every)
+    base = tuple(every) + random_word(rng, 304, 300)
+    p0_cancel = [Letter(0, 1), Letter(0, -1), Letter(1, -1), Letter(0, 1), Letter(0, -1), Letter(1, 1)]
+    shapes = {
+        "every vertex": base,
+        "plain tuples": tuple(map(tuple, base)),
+        "sign True": tuple((v, True) if s == 1 else (v, s) for v, s in base),
+        "sign -1.0": tuple((v, -1.0) if s == -1 else (v, s) for v, s in base),
+        "p0 letters cancel": interleave(rng, [every, p0_cancel * 3]),
+    }
+    for name, w in shapes.items():
+        nf = reference_normal_form(g, tuple(Letter(v, s) for v, s in w))  # it reads .vertex
+        image = reference_evaluate_word(p, w)
+        for _ in range(2):  # cold, then warm
+            assert normal_form(g, w) == nf, name
+            assert evaluate_word(p, w) == image, name
+        assert image.is_identity == nf.is_identity
+    assert normal_form(g, shapes["p0 letters cancel"]).abelian_exponents == ((0, 0), (1, 0))
+    assert evaluate_word(p, shapes["p0 letters cancel"]).exponents == ((0, 0), (1, 0))
+
+
+def test_both_solvers_read_a_letter_alike():
+    # a letter is looked up by value: a float vertex equal to a generator is
+    # that generator, and a list, which has no hash, is no letter
+    p = CommutingPartition(frozenset({0}), (frozenset({1, 2}), frozenset({3, 4})))
+    g = graph_from_family(5, p.p0, p.parts)
+    w = (Letter(0, 1), Letter(1, 1), Letter(3, -1), Letter(1, -1), Letter(2, 1))
+    floats = tuple((float(v), s) for v, s in w)
+    assert normal_form(g, floats) == normal_form(g, w)
+    assert evaluate_word(p, floats) == evaluate_word(p, w)
+    # a p0 exponent sums the generators' own signs, so it stays an int
+    signs = ((0, 1.0), (0, True), (0, -1.0))
+    assert repr(normal_form(g, signs).abelian_exponents) == repr(((0, 1),))
+    assert repr(evaluate_word(p, signs).exponents) == repr(((0, 1),))
+    for bad in (([0, 1],), w + ([3, -1],)):
+        with pytest.raises(TypeError, match="unhashable"):
+            normal_form(g, bad)
+        with pytest.raises(TypeError, match="unhashable"):
+            evaluate_word(p, bad)
+    # a vertex between two generators keeps the errors it always had
+    with pytest.raises(TypeError, match="tuple indices must be integers"):
+        normal_form(g, w + ((1.5, 1), (9, 1)))
+    assert raised(evaluate_word, p, w + ((1.5, 1),)) == "letter vertex 1.5 is not covered by the partition"
+    # the part words hold the model's own letters, equal to those passed in
+    nf = normal_form(g, tuple(map(tuple, w)))
+    assert nf == normal_form(g, w) and nf.part_words == ((Letter(2, 1),), (Letter(3, -1),))
+    letters = vars(vars(g)["_word_model"])["_letters"]
+    assert all(x is letters[x][1] for part_word in nf.part_words for x in part_word)
 
 
 def raised(f, *args) -> str:

@@ -1,5 +1,7 @@
 import gc
+import operator
 import random
+import sys
 import weakref
 
 import pytest
@@ -239,14 +241,21 @@ def test_the_compiles_die_with_their_objects():
     w = random_word(random.Random(2402), 25, 50)
     normal_form(g, w)
     evaluate_word(p, w)
-    kept = vars(g)["_word_model"], vars(p)["_oracle_table"]
+    model = vars(g)["_word_model"]
+    kept = model, vars(model)["_letters"], vars(p)["_oracle_table"]
     normal_form(g, w)
     evaluate_word(p, w)
-    assert (vars(g)["_word_model"], vars(p)["_oracle_table"]) == kept
-    refs = weakref.ref(g), weakref.ref(p), weakref.ref(kept[0])
-    del g, p, kept
+    assert all(map(operator.is_, (model, vars(model)["_letters"], vars(p)["_oracle_table"]), kept))
+    # a dict takes no weak reference, so the letter table is watched through
+    # one of its keys: the table holds it three times (as the key and in the
+    # entries of both signs of its vertex), so its count drops by three
+    key = next(iter(kept[1]))
+    held = sys.getrefcount(key)
+    refs = weakref.ref(g), weakref.ref(p), weakref.ref(model)
+    del g, p, model, kept
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
+    assert sys.getrefcount(key) == held - 3
 
 
 def test_oracle_table_keeps_each_part_order():
