@@ -14,19 +14,22 @@ two: the recognizer's partition, or else the scan's least witness.  This
 module imports only :mod:`raagv.graphs`, where both result types live.
 
 The least witness is the first edge (a, b), in lexicographic order, with a
-vertex c outside both rows.  The scan first tests the upper neighbours b of
-each row a one by one.  Once it has rejected more than n + 16 of them, it
-groups the later vertices by adjacency row and from then on tests each class
-once per row a.  The budget is about what the grouping costs: a dict step
-per vertex and a fixed cost of some 16 neighbour tests.  A scan that ends
-within it, as on G(n, 1/2) and on every graph of up to seven vertices, whose
-21 pairs all fit, never pays for the grouping, and one that runs longer has
-already spent about as much.  Twins give the same answer: b qualifies
-exactly when its row misses a vertex outside a's row other than a, which
-depends on b's row alone.  So the least upper neighbour of a among the
-members of the qualifying classes is the b the plain scan would reach first,
-and c, the least vertex outside both rows, is found as before.  A universal
-vertex qualifies for no a and joins no class.
+vertex c outside both rows.  The scan tests the upper neighbours b of each
+row a one by one until it has rejected more than n + 16 of them.  A scan that
+ends within that budget, as on G(n, 1/2) and on every graph of up to seven
+vertices, whose 21 pairs all fit, pays for nothing more.  Past the budget
+each row does two things.  It is skipped when it equals a row already
+scanned: if row a had no witness, a later twin a' has none either, since
+upper(a') is within upper(a), outside(a') within outside(a) plus a, and each
+of those vertices is adjacent to every b in upper(a').  Otherwise it tests
+the cheaper side.  b qualifies exactly when some vertex outside a's row is
+not adjacent to b.  So when fewer vertices lie outside than above a, the
+qualifying b are the upper neighbours missing from the AND of the rows of
+the vertices outside (stopped once it holds no upper neighbour), and the
+least of them is the b the plain scan would reach first; c, the least
+vertex outside both rows, is found as before.  Without the skip, each row of
+a member's big part would AND the rows of the rest of that part.  A
+universal vertex has no vertex outside and starts no witness.
 
 Each decider is a private core on the adjacency masks, which answers in
 plain ints and tuples, behind a public function that wraps the answer in its
@@ -44,54 +47,45 @@ __all__ = ("canonical_partition", "find_forbidden_triple", "is_nb", "recognize_m
 def _least_triple(adj: tuple[int, ...]) -> tuple[int, int, int] | None:
     """The core of :func:`find_forbidden_triple`: (a, b, c) or None."""
     full = (1 << len(adj)) - 1
-    budget = len(adj) + 16  # neighbours b to reject one by one before grouping twins
+    budget = len(adj) + 16  # neighbours b to reject one by one before skipping twins
+    seen = None  # the rows scanned since the budget was spent
     for a, row in enumerate(adj):
         outside = full ^ row ^ 1 << a  # full & ~row & ~(1 << a): a is not in its row
         if not outside:
             continue
         upper = row >> a + 1 << a + 1
+        if seen is not None:
+            if row in seen:
+                continue
+            seen.add(row)
+            if outside.bit_count() < upper.bit_count():
+                common = upper  # the b adjacent to every vertex outside a's row
+                for c in _bits(outside):
+                    common &= adj[c]
+                    if not common:
+                        break
+                upper ^= common
         for b in _bits(upper):
             free = outside & ~adj[b]  # b, a neighbour of a, is not outside
             if free:
                 return a, b, _low(free)
         budget -= upper.bit_count()
-        if budget < 0:
-            return _least_by_class(adj, a + 1)
-    return None
-
-
-def _least_by_class(adj: tuple[int, ...], start: int) -> tuple[int, int, int] | None:
-    """The least triple whose first vertex is ``start`` or later: the
-    vertices from ``start`` on are grouped by adjacency row, and each row a
-    tests each class once instead of each neighbour."""
-    n = len(adj)
-    full = (1 << n) - 1
-    rows: dict[int, int] = {}
-    for v in range(start, n):
-        r = adj[v]
-        if r | 1 << v != full:  # a universal vertex is in no witness
-            rows[r] = rows.get(r, 0) | 1 << v
-    classes = [(members, ~r) for r, members in rows.items()]
-    for a in range(start, n):
-        row = adj[a]
-        outside = full ^ row ^ 1 << a
-        passing = 0  # the members of every class whose row misses a vertex outside
-        for members, not_row in classes:
-            if outside & not_row:
-                passing |= members
-        if valid := passing & row >> a + 1 << a + 1:
-            b = _low(valid)
-            return a, b, _low(outside & ~adj[b])
+        if budget < 0 and seen is None:
+            seen = {row}
     return None
 
 
 def find_forbidden_triple(g: Graph) -> ForbiddenTriple | None:
     """The least witness triple, or None when the graph has none.
 
-    Scans edges (a, b) row by row in lexicographic order and candidate third
-    vertices ascending, which makes the result the lexicographically least
-    valid (a, b, c) and therefore deterministic.  A row with no
-    non-neighbour belongs to a universal vertex, which is in no witness.
+    Takes the least edge (a, b) in lexicographic order that has a vertex
+    outside both rows, and the least such vertex as c, which makes the result
+    the lexicographically least valid (a, b, c) and therefore deterministic.
+    Rows are scanned neighbour by neighbour until n + 16 neighbours have
+    been rejected; past that, a row equal to one already scanned is skipped,
+    and a row with fewer non-neighbours than upper neighbours ANDs the
+    non-neighbours' rows instead.  A row with no non-neighbour belongs to a
+    universal vertex, which is in no witness.
     """
     triple = _least_triple(g.adj)
     return None if triple is None else ForbiddenTriple(*triple)

@@ -33,10 +33,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
 
-__all__ = (
-    "CommutingPartition", "ForbiddenTriple", "Graph", "eccentricity", "new_graph",
-    "universal_vertices",
-)
+__all__ = ("CommutingPartition", "ForbiddenTriple", "Graph", "new_graph", "universal_vertices")
 
 
 @dataclass(frozen=True, init=False)
@@ -197,31 +194,6 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))
-
-
-def eccentricity(g: Graph, v: int) -> int | None:
-    """Greatest geodesic distance from v, by breadth-first search.
-
-    Returns None when some vertex is unreachable from v, and 0 on the
-    one-vertex graph.  Never returns a sentinel integer, so an
-    ``eccentricity(g, v) == 1`` test cannot be fooled by disconnection.
-    """
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} is outside 0..{g.n - 1}")
-    full = (1 << g.n) - 1
-    visited = frontier = 1 << v
-    dist = 0
-    while True:
-        nxt = 0
-        for u in _bits(frontier):
-            nxt |= g.adj[u]
-        nxt &= ~visited
-        if not nxt:
-            break
-        visited |= nxt
-        frontier = nxt
-        dist += 1
-    return dist if visited == full else None
 
 
 def _universal_mask(g: Graph) -> int:

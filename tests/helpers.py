@@ -31,7 +31,6 @@ from raagv import (
     Word,
     WrongP0,
     canonical_partition,
-    eccentricity,
     find_forbidden_triple,
     greedy_partition,
     new_graph,
@@ -118,6 +117,32 @@ def brute_least_triple(g: Graph) -> tuple[int, int, int] | None:
                 if best is None or t < best:
                     best = t
     return best
+
+
+def eccentricity(g: Graph, v: int) -> int | None:
+    """Greatest geodesic distance from v, by breadth-first search on the
+    masks: the definition :func:`reference_universal_vertices` reads.
+
+    Returns None when some vertex is unreachable from v, and 0 on the
+    one-vertex graph.  Never returns a sentinel integer, so an
+    ``eccentricity(g, v) == 1`` test cannot be fooled by disconnection.
+    """
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} is outside 0..{g.n - 1}")
+    full = (1 << g.n) - 1
+    visited = frontier = 1 << v
+    dist = 0
+    while True:
+        nxt = 0
+        for u in _bits(frontier):
+            nxt |= g.adj[u]
+        nxt &= ~visited
+        if not nxt:
+            break
+        visited |= nxt
+        frontier = nxt
+        dist += 1
+    return dist if visited == full else None
 
 
 def slow_eccentricity(g: Graph, v: int) -> int | None:
@@ -554,12 +579,11 @@ def reference_parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
     return new_graph(n, edges), labels
 
 
-def reference_find_forbidden_triple(g: Graph, start: int = 0) -> ForbiddenTriple | None:
-    """The least witness whose first vertex is ``start`` or later."""
+def reference_find_forbidden_triple(g: Graph) -> ForbiddenTriple | None:
     full = (1 << g.n) - 1
     for a, b in reference_edges(g):
         free = full & ~(g.adj[a] | g.adj[b] | 1 << a | 1 << b)
-        if free and a >= start:
+        if free:
             return ForbiddenTriple(a, b, (free & -free).bit_length() - 1)
     return None
 

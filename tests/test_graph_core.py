@@ -9,7 +9,6 @@ from raagv import (
     ForbiddenTriple,
     Graph,
     Letter,
-    eccentricity,
     new_graph,
     normal_form,
     universal_vertices,
@@ -22,6 +21,7 @@ from helpers import (
     complete_graph,
     connected_components,
     cycle_graph,
+    eccentricity,
     empty_graph,
     graphs,
     is_clique,

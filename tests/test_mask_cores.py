@@ -25,7 +25,7 @@ from raagv import (
     recognize_multipartite,
     validate_partition,
 )
-from raagv.classify import _least_by_class, _least_triple, _twin_blocks
+from raagv.classify import _least_triple, _twin_blocks
 from raagv.graphs import _bits
 from raagv.harness import enumerate_graphs, random_nb_graph
 from raagv.partition import _greedy_cuts
@@ -98,22 +98,22 @@ def test_cross_check_draws_every_graph_through_the_module_generator(monkeypatch)
     assert (report.nb_count, report.gp_count, report.mismatches) == (15, 15, ())
 
 
-@pytest.mark.parametrize("n", range(8))
-def test_class_scan_from_every_row_agrees_with_the_reference(n):
-    # the triple scan groups twins only past its budget, which no graph of
-    # up to seven vertices spends; from a given row on, the class phase alone
-    # must name the least witness whose first vertex is that row or later
-    for g, _ in boundary_graphs(n):
-        for start in range(n):
-            witness = reference_find_forbidden_triple(g, start)
-            expected = None if witness is None else (witness.a, witness.b, witness.c)
-            assert _least_by_class(g.adj, start) == expected, (g, start)
+def behind_a_spent_budget(h: Graph) -> Graph:
+    """K_{20,20} on 0..39, then h on 40 and up, each vertex of h joined to
+    all 40.  The prefix starts no witness, so the least witness is h's
+    shifted by 40, and rows 0, 1 and 2 reject 60 + 3 * h.n neighbours, more
+    than the scan's budget of 56 + h.n, so h is scanned past it."""
+    left = (1 << 20) - 1
+    right = left << 20
+    joined = ((1 << h.n) - 1) << 40
+    prefix = (right | joined,) * 20 + (left | joined,) * 20
+    return Graph(40 + h.n, prefix + tuple(row << 40 | left | right for row in h.adj))
 
 
 class CountingRows(tuple):
     """Adjacency rows that count their reads by index.  The triple scan reads
-    a row by index for each neighbour b it tests one by one, and once it
-    groups twins, twice for each later vertex and once for the b it returns."""
+    a row by index for each neighbour b it tests and, past its budget, for
+    each non-neighbour c whose row it ANDs."""
 
     reads = 0
 
@@ -122,13 +122,39 @@ class CountingRows(tuple):
         return super().__getitem__(i)
 
 
-@pytest.mark.parametrize("n", [200, 1000])
-def test_triple_scan_groups_twins_once_its_budget_is_spent(n):
+def test_the_prefix_spends_the_budget_and_then_skips_its_twins():
+    # rows 0, 1 and 2 test their 20 neighbours each; rows 3..19 are twins of
+    # row 2, row 20 has no upper neighbour, and rows 21..39 are its twins
+    rows = CountingRows(behind_a_spent_budget(Graph(0, ())).adj)
+    assert _least_triple(rows) is None
+    assert rows.reads == 60
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_triple_scan_past_its_budget_agrees_with_the_reference(n):
+    # every graph of up to six vertices, then the boundary graphs at seven
+    # and eight: past the budget the scan skips twin rows and takes each
+    # row's cheaper side, which must name the same least witness
+    hs = enumerate_graphs(n) if n <= 6 else (g for g, _ in boundary_graphs(n))
+    for h in hs:
+        witness = reference_find_forbidden_triple(h)
+        expected = None if witness is None else (witness.a + 40, witness.b + 40, witness.c + 40)
+        assert _least_triple(behind_a_spent_budget(h).adj) == expected, h
+
+
+@pytest.mark.parametrize("n", [200, 1000, 4000])
+def test_triple_scan_skips_twins_once_its_budget_is_spent(n):
     # the plain scan may reject n + 16 neighbours, plus the rest of the row
     # that spends the budget; a member would otherwise test every edge, over
-    # n * n / 4 of them
-    member = random_nb_graph(n, seed=n)
-    for g in (member, *near_misses(member, random.Random(n))):
-        rows = CountingRows(g.adj)
-        assert _least_triple(rows) == _least_triple(g.adj)
-        assert rows.reads <= 4 * n + 16
+    # n * n / 4 of them.  The interleaved K_{n/2,n/2} has one row per part,
+    # each with n / 2 - 1 vertices outside: without the twin skip, every row
+    # would read up to n / 2 rows
+    odds = int("10" * (n // 2), 2)
+    for member in (random_nb_graph(n, seed=n), Graph(n, (odds, odds >> 1) * (n // 2))):
+        for g in (member, *near_misses(member, random.Random(n))):
+            rows = CountingRows(g.adj)
+            triple = _least_triple(rows)
+            # members, and near misses that stay pattern-free, have no witness
+            assert (triple is None) == (recognize_multipartite(g) is not None)
+            assert triple is None or ForbiddenTriple(*triple).holds_in(g)
+            assert rows.reads <= 3 * n + 16
