@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from operator import or_
 from typing import Iterator
 
 from .classify import _least_triple, _twin_blocks
@@ -27,40 +26,37 @@ from .partition import _greedy_cuts
 
 __all__ = (
     "CrossCheckReport", "Mismatch", "cross_check", "enumerate_graphs", "graph_from_family",
-    "random_graph", "random_nb_graph", "random_partition_family",
+    "random_graph", "random_nb_graph",
 )
 
 MAX_ENUMERATION_N = 8
 
 
-def _rows(n: int, code: int) -> tuple[int, ...]:
-    """Adjacency masks of the graph whose edges are the vertex pairs, in
-    lexicographic order, at the set bits of code."""
-    adj = [0] * n
-    for i, (u, v) in enumerate(combinations(range(n), 2)):
-        if code >> i & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return tuple(adj)
-
-
 def enumerate_graphs(n: int) -> Iterator[Graph]:
-    """All 2^(n(n-1)/2) labeled graphs on n vertices in code order.
+    """All 2^(n(n-1)/2) labeled graphs on n vertices in code order: bit i of
+    a code joins the i-th vertex pair in lexicographic order.
 
-    Each code splits into a low and a high half of its pair bits.  Both
-    halves are decoded once, so a graph costs one OR per vertex.  Capped at
-    n = 8; beyond that exhaustive enumeration stops being a desk job and the
-    cap fails fast instead of hanging.
+    Since n <= 8, each adjacency row fits in a byte, so a whole graph packs
+    into one integer whose byte u is row u.  Each code splits into a low and
+    a high half of its pair bits; the packed graphs of every subset of each
+    half are built once per call, so a graph costs one OR, one ``to_bytes``
+    and one tuple.  Capped at n = 8; beyond that exhaustive enumeration
+    stops being a desk job and the cap fails fast instead of hanging.
     """
     if not 0 <= n <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration supports 0 <= n <= {MAX_ENUMERATION_N}, got {n}")
-    npairs = n * (n - 1) // 2
-    low = npairs // 2
-    lows = [_rows(n, code) for code in range(1 << low)]
-    for high in range(1 << npairs - low):
-        rows = _rows(n, high << low)
+    pairs = [1 << 8 * u + v | 1 << 8 * v + u for u, v in combinations(range(n), 2)]
+    low = len(pairs) // 2
+    halves = []
+    for masks in pairs[:low], pairs[low:]:
+        ors = [0]
+        for m in masks:
+            ors += [x | m for x in ors]
+        halves.append(ors)
+    lows, highs = halves
+    for high in highs:
         for lo in lows:
-            yield Graph(n, tuple(map(or_, rows, lo)))
+            yield Graph(n, tuple((high | lo).to_bytes(n, "little")))
 
 
 @dataclass(frozen=True)
@@ -86,9 +82,7 @@ def cross_check(n: int) -> CrossCheckReport:
     """Run all three deciders over every labeled graph on n vertices."""
     total = nb = gp = 0
     bad: list[Mismatch] = []
-    code = 0
-    for g in enumerate_graphs(n):
-        total += 1
+    for total, g in enumerate(enumerate_graphs(n), 1):
         adj = g.adj
         triple_free = _least_triple(adj) is None
         greedy_ok = not _greedy_cuts(adj)[2]
@@ -96,8 +90,7 @@ def cross_check(n: int) -> CrossCheckReport:
         nb += triple_free
         gp += greedy_ok
         if not (triple_free == greedy_ok == multi_ok):
-            bad.append(Mismatch(code, triple_free, greedy_ok, multi_ok))
-        code += 1
+            bad.append(Mismatch(total - 1, triple_free, greedy_ok, multi_ok))
     return CrossCheckReport(n, total, nb, gp, tuple(bad))
 
 
@@ -112,7 +105,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return new_graph(n, edges)
 
 
-def random_partition_family(
+def _random_partition_family(
     n: int, seed: int
 ) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
     """Seeded random block structure: a (possibly empty) universal set plus
@@ -161,5 +154,5 @@ def graph_from_family(
 
 def random_nb_graph(n: int, seed: int) -> Graph:
     """A random pattern-free graph, built from a random block structure."""
-    p0, parts = random_partition_family(n, seed)
+    p0, parts = _random_partition_family(n, seed)
     return graph_from_family(n, p0, parts)

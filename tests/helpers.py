@@ -36,7 +36,6 @@ from raagv import (
     new_graph,
     recognize_multipartite,
 )
-from raagv import harness
 from raagv.graphio import MAX_VERTICES, _assign_labels, _echo
 from raagv.graphs import _bits, _low, _mask, _universal_mask
 from raagv.matrixrep import IDENTITY, Matrix, MatrixImage, evaluate_word
@@ -78,8 +77,10 @@ def induced_subgraph(g: Graph, keep: list[int]) -> Graph:
 def graph_from_code(n: int, code: int) -> Graph:
     """Decode a graph from the integer whose bit i is the adjacency of the
     i-th vertex pair in lexicographic order: the graph numbered ``code`` by
-    ``harness.enumerate_graphs``."""
-    return Graph(n, harness._rows(n, code))
+    ``harness.enumerate_graphs``.  Decoded pair by pair through
+    :func:`new_graph`, not through the enumerator's packed rows."""
+    pairs = combinations(range(n), 2)
+    return new_graph(n, [pair for i, pair in enumerate(pairs) if code >> i & 1])
 
 
 def graph_code(g: Graph) -> int:
@@ -454,9 +455,16 @@ def toggled(g: Graph, u: int, v: int) -> Graph:
 
 
 def near_misses(g: Graph, rng: random.Random) -> list[Graph]:
-    """One edge added inside a part, one cross edge removed."""
+    """One edge added inside a part, one cross edge removed.
+
+    The edge is added inside a part of at least three vertices whenever g
+    has one, and then the first near miss is never a member: a third vertex
+    of that part sees neither end of the new edge.  Joining the two vertices
+    of a two-vertex part only makes both universal.
+    """
     p = recognize_multipartite(g)
-    u, v = rng.sample(sorted(rng.choice([b for b in p.parts if len(b) > 1])), 2)
+    parts = [b for b in p.parts if len(b) > 1]
+    u, v = rng.sample(sorted(rng.choice([b for b in parts if len(b) > 2] or parts)), 2)
     a, b = rng.sample([sorted(b) for b in p.blocks() if b], 2)
     return [toggled(g, u, v), toggled(g, rng.choice(a), rng.choice(b))]
 

@@ -15,7 +15,7 @@ from helpers import reference_find_forbidden_triple
 
 @pytest.mark.slow
 def test_all_graphs_on_seven_vertices():
-    """The three deciders agree (about 12 s on one core of a 2-vCPU Xeon
+    """The three deciders agree (about 6 s on one core of a 2-vCPU Xeon
     guest with Python 3.11)."""
     report = cross_check(7)
     assert report.total_graphs == 2_097_152
@@ -29,7 +29,7 @@ def test_greedy_witnesses_on_seven_vertices():
     builder's witnesses are checked here: it returns a partition exactly
     when the triple scan finds no triple, and every witness it returns holds
     in its graph.  The triple scan's least witness is the reference scan's
-    (about 25 s on the same guest)."""
+    (about 13 s on the same guest)."""
     partitions = 0
     for g in enumerate_graphs(7):
         greedy = greedy_partition(g)

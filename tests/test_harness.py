@@ -15,15 +15,17 @@ from raagv import (
     new_graph,
     random_graph,
     random_nb_graph,
-    random_partition_family,
+    recognize_multipartite,
 )
 from raagv.cli import main
+from raagv.harness import _random_partition_family
 
 from helpers import (
     brute_is_nb,
     complete_graph,
     graph_code,
     graph_from_code,
+    near_misses,
     predicted_canonical_family,
     reference_graph_from_family,
 )
@@ -42,6 +44,15 @@ def test_enumeration_order_endpoints():
     # code bit i toggles the i-th pair in lexicographic order
     assert list(graphs[1].edges()) == [(0, 1)]
     assert list(graphs[2].edges()) == [(0, 2)]
+
+
+def test_enumeration_is_the_pair_by_pair_decode_in_code_order():
+    # every code up to n = 6; at n = 7 and n = 8 the first three high halves,
+    # and at n = 8 every row byte uses its top bit
+    for n, count in [*((n, 1 << n * (n - 1) // 2) for n in range(7)), (7, 3 << 10), (8, 3 << 14)]:
+        graphs = enumerate_graphs(n)
+        for code in range(count):
+            assert next(graphs) == graph_from_code(n, code), (n, code)
 
 
 def test_enumeration_cap():
@@ -76,6 +87,14 @@ def test_cross_check_counts_match_independent_oracle():
         assert r.gp_count == expected
         assert r.mismatches == ()
         assert r.total_graphs == 1 << (n * (n - 1) // 2)
+
+
+@pytest.mark.parametrize("n, seed", [(4000, 4000), (300, 3), (150, 5), (120, 2), (60, 1), (30, 7)])
+def test_first_near_miss_is_never_a_member(n, seed):
+    member = random_nb_graph(n, seed)
+    assert any(len(part) > 2 for part in recognize_multipartite(member).parts)
+    for r in range(20):
+        assert recognize_multipartite(near_misses(member, random.Random(r))[0]) is None, r
 
 
 def test_random_graph_deterministic():
@@ -136,7 +155,7 @@ def test_graph_from_family_matches_pair_builder():
     )
     for n in range(1, 61):
         for seed in range(5):
-            p0, parts = random_partition_family(n, seed * 1000 + n)
+            p0, parts = _random_partition_family(n, seed * 1000 + n)
             assert graph_from_family(n, p0, parts) == reference_graph_from_family(
                 n, p0, parts
             )
@@ -145,7 +164,7 @@ def test_graph_from_family_matches_pair_builder():
 def test_random_family_round_trips_through_canonical_partition():
     for seed in range(150):
         n = seed % 11 + 1
-        p0, parts = random_partition_family(n, seed)
+        p0, parts = _random_partition_family(n, seed)
         g = graph_from_family(n, p0, parts)
         assert g == random_nb_graph(n, seed)
         p = canonical_partition(g)
@@ -157,7 +176,7 @@ def test_random_partition_family_shape():
     rng = random.Random(0)
     for seed in range(50):
         n = rng.randint(1, 12)
-        p0, parts = random_partition_family(n, seed)
+        p0, parts = _random_partition_family(n, seed)
         members = list(p0) + [v for part in parts for v in part]
         assert sorted(members) == list(range(n))
         assert all(parts[i] for i in range(len(parts)))
@@ -165,10 +184,10 @@ def test_random_partition_family_shape():
 
 
 def test_random_partition_family_of_no_vertices_is_empty(capsys):
-    assert random_partition_family(0, seed=1) == (frozenset(), ())
+    assert _random_partition_family(0, seed=1) == (frozenset(), ())
     assert random_nb_graph(0, seed=1) == new_graph(0, [])
     with pytest.raises(ValueError):
-        random_partition_family(-1, seed=1)
+        _random_partition_family(-1, seed=1)
     assert main(["random", "--n", "0"]) == 0
     plain = capsys.readouterr()
     assert main(["random", "--n", "0", "--nb"]) == 0
