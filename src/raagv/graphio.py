@@ -25,8 +25,9 @@ One pass over the walk reads every label as a vertex number and ORs each edge
 into its second endpoint's mask, and each run of edges with one first
 endpoint, a row as ``emit_edge_list`` writes it, into that endpoint's mask at
 once.  A token that is not a default label, or a loop edge, sends it over the
-body once more, to number the labels in order of first appearance or to name
-the loop's line.  Errors follow a fixed precedence: the first syntax error in
+body once more, in chunks too, to number the labels in order of first
+appearance or to name the loop's line; neither walk keeps a list of the
+edges.  Errors follow a fixed precedence: the first syntax error in
 line order, then a label beyond the ``n``-th distinct one, then the first loop
 edge.  Error texts echo at most 32 characters of the offending text.
 """
@@ -220,46 +221,36 @@ def _syntax_error(tokens: list[str], lineno: int) -> ParseError:
 
 def _parse_labelled(text: str, n: int, pos: int, lineno: int) -> tuple[Graph, LabelMap]:
     """The label path: a token that is not a default label, or a loop edge,
-    was met, so the body is read again with labels indexed in order of first
-    appearance."""
-    raw_edges = [edge for chunk in _edges(text, pos, lineno) for edge in zip(*chunk)]
-    labels = _assign_labels(n, raw_edges)
-    index = {lab: i for i, lab in enumerate(labels.labels)}
+    was met, so the body is walked again, each label indexed as it is first
+    read; unused vertices get their own number as label, prefixed with ``_``
+    until it is unique."""
+    index: dict[str, int] = {}
     adj = [0] * n
-    for lu, lv, lineno in raw_edges:
-        if lu == lv:
-            raise ParseError(f"line {lineno}: loop edge on {_echo(lu, repr)}")
-        u, v = index[lu], index[lv]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(n, tuple(adj)), labels
-
-
-def _assign_labels(n: int, raw_edges: list[tuple[str, str, int]]) -> LabelMap:
-    """Indices in order of first appearance; unused vertices get their own
-    number as label, prefixed with ``_`` until it is unique."""
-    assigned: dict[str, int] = {}
-    for lu, lv, lineno in raw_edges:
-        for t in (lu, lv):
-            if t not in assigned:
-                if len(assigned) == n:
-                    raise ParseError(
-                        f"line {lineno}: label {_echo(t, repr)} is the {n + 1}-th distinct "
-                        f"label but the graph has only {n} vertices"
-                    )
-                assigned[t] = len(assigned)
-    labels = [""] * n
-    for lab, i in assigned.items():
-        labels[i] = lab
-    used = set(assigned)
-    for i in range(n):
-        if not labels[i]:
-            candidate = str(i)
-            while candidate in used:
-                candidate = "_" + candidate
-            labels[i] = candidate
-            used.add(candidate)
-    return LabelMap(tuple(labels))
+    loop = ""  # the error for the first loop edge, raised after the walk
+    walk = _edges(text, pos, lineno)
+    for chunk in walk:
+        for a, b, i in zip(*chunk):
+            u = index.setdefault(a, len(index))
+            v = index.setdefault(b, len(index))
+            if u >= n or v >= n:
+                for _ in walk:  # a syntax error on a later line comes first
+                    pass
+                raise ParseError(
+                    f"line {i}: label {_echo(a if u >= n else b, repr)} is the {n + 1}-th distinct "
+                    f"label but the graph has only {n} vertices"
+                )
+            if u == v and not loop:
+                loop = f"line {i}: loop edge on {_echo(a, repr)}"
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    if loop:
+        raise ParseError(loop)
+    for v in range(len(index), n):
+        label = str(v)
+        while label in index:
+            label = "_" + label
+        index[label] = v
+    return Graph(n, tuple(adj)), LabelMap(tuple(index))
 
 
 def emit_edge_list(g: Graph, labels: LabelMap | None = None) -> str:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = ("CommutingPartition", "ForbiddenTriple", "Graph", "new_graph", "universal_vertices")
 
@@ -55,22 +55,13 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield the edges (u, v) with u < v in lexicographic order."""
-        for u, row in enumerate(self.adj):
-            for v in _bits(row >> u + 1 << u + 1):
-                yield (u, v)
-
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
-
 
 @dataclass(frozen=True)
 class CommutingPartition:
     """Block structure: p0 plus nonempty parts.
 
-    Two partitions describe the same block structure exactly when their
-    :meth:`family` views agree; the order of ``parts`` is presentation only.
+    Two partitions describe the same block structure exactly when their p0
+    and their sets of parts agree; the order of ``parts`` is presentation only.
     """
 
     p0: frozenset[int]
@@ -83,10 +74,6 @@ class CommutingPartition:
     def blocks(self) -> tuple[frozenset[int], ...]:
         """All blocks, p0 first; parts occupy indices 1..len(parts)."""
         return (self.p0, *self.parts)
-
-    def family(self) -> tuple[frozenset[int], frozenset[frozenset[int]]]:
-        """Order-free view used for partition equality."""
-        return (self.p0, frozenset(self.parts))
 
 
 @dataclass(frozen=True, init=False)

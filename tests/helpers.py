@@ -36,7 +36,7 @@ from raagv import (
     new_graph,
     recognize_multipartite,
 )
-from raagv.graphio import MAX_VERTICES, _assign_labels, _echo
+from raagv.graphio import MAX_VERTICES, _echo
 from raagv.graphs import _bits, _low, _mask, _universal_mask
 from raagv.matrixrep import IDENTITY, Matrix, MatrixImage, evaluate_word
 
@@ -201,8 +201,25 @@ def reference_bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def graph_edges(g: Graph) -> Iterator[tuple[int, int]]:
+    """The edges (u, v) with u < v in lexicographic order."""
+    for u, row in enumerate(g.adj):
+        for v in _bits(row >> u + 1 << u + 1):
+            yield (u, v)
+
+
+def edge_count(g: Graph) -> int:
+    return sum(m.bit_count() for m in g.adj) // 2
+
+
+def block_family(p: CommutingPartition) -> tuple[frozenset[int], frozenset[frozenset[int]]]:
+    """Order-free view of a partition: two partitions describe the same
+    block structure exactly when their families agree."""
+    return (p.p0, frozenset(p.parts))
+
+
 def reference_edges(g: Graph):
-    """``Graph.edges`` with each row walked by :func:`reference_bits`."""
+    """:func:`graph_edges` with each row walked by :func:`reference_bits`."""
     for u, row in enumerate(g.adj):
         for v in reference_bits(row >> u + 1 << u + 1):
             yield (u, v)
@@ -525,7 +542,7 @@ def _decide(g: Graph, bad: list[Graph]) -> bool:
     greedy = greedy_partition(g)
     part = recognize_multipartite(g)
     if isinstance(greedy, CommutingPartition):
-        ok = free and part is not None and greedy.family() == part.family()
+        ok = free and part is not None and block_family(greedy) == block_family(part)
     else:
         ok = not free and part is None and greedy.holds_in(g)
     if not ok or greedy != two_phase_greedy_partition(g) or witness != reference_find_forbidden_triple(g):
@@ -537,8 +554,10 @@ def _decide(g: Graph, bad: list[Graph]) -> bool:
 #
 # The edge-list parser, triple scan and edge-list writer as they were before
 # they became one pass over the lines and walks over adjacency rows: a raw
-# edge list validated by new_graph, and edges from the Graph.edges()
-# generator.  The label numbering (_assign_labels) is shared, unchanged.
+# edge list validated by new_graph, and edges from the reference_edges
+# generator.  The parser numbers labels with its own _assign_labels, a
+# second pass over the raw edges, where the package indexes each label as
+# it reads it.
 
 
 def reference_parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
@@ -585,6 +604,33 @@ def reference_parse_edge_list(text: str) -> tuple[Graph, LabelMap]:
             raise ParseError(f"line {lineno}: loop edge on {_echo(lu, repr)}")
         edges.append((u, v))
     return new_graph(n, edges), labels
+
+
+def _assign_labels(n: int, raw_edges: list[tuple[str, str, int]]) -> LabelMap:
+    """Indices in order of first appearance; unused vertices get their own
+    number as label, prefixed with ``_`` until it is unique."""
+    assigned: dict[str, int] = {}
+    for lu, lv, lineno in raw_edges:
+        for t in (lu, lv):
+            if t not in assigned:
+                if len(assigned) == n:
+                    raise ParseError(
+                        f"line {lineno}: label {_echo(t, repr)} is the {n + 1}-th distinct "
+                        f"label but the graph has only {n} vertices"
+                    )
+                assigned[t] = len(assigned)
+    labels = [""] * n
+    for lab, i in assigned.items():
+        labels[i] = lab
+    used = set(assigned)
+    for i in range(n):
+        if not labels[i]:
+            candidate = str(i)
+            while candidate in used:
+                candidate = "_" + candidate
+            labels[i] = candidate
+            used.add(candidate)
+    return LabelMap(tuple(labels))
 
 
 def reference_find_forbidden_triple(g: Graph) -> ForbiddenTriple | None:

@@ -22,6 +22,7 @@ from raagv.harness import enumerate_graphs, random_graph, random_nb_graph
 from helpers import (
     cycle_graph,
     forbidden_pattern_graph,
+    graph_edges,
     inverse,
     normal_form_word,
     random_word,
@@ -35,7 +36,7 @@ def trivial_word(rng: random.Random, g, length: int) -> tuple[Letter, ...]:
     its inverse, or the commutator of an edge."""
     u = random_word(rng, g.n, length // 4)
     letters = list(u + inverse(u))
-    edges = list(g.edges())
+    edges = list(graph_edges(g))
     while len(letters) < length:
         s = rng.choice((1, -1))
         if edges and rng.random() < 0.5:

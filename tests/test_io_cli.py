@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -27,7 +28,9 @@ from raagv.partition import CommutingPartition
 
 from helpers import (
     cycle_graph,
+    edge_count,
     forbidden_pattern_graph,
+    graph_edges,
     graphs,
     near_misses,
     reference_emit_dot,
@@ -78,14 +81,14 @@ def test_parse_plus_one_on_small_graph():
 
 def test_parse_vertex_count_limit():
     g, labels = parse_edge_list(f"n {MAX_VERTICES}\ne 0 1\n")
-    assert g.n == MAX_VERTICES and g.edge_count() == 1
+    assert g.n == MAX_VERTICES and edge_count(g) == 1
     with pytest.raises(ParseError, match="line 2: vertex count .* exceeds the limit"):
         parse_edge_list(f"# big\nn {MAX_VERTICES + 1}\n")
 
 
 def test_parse_isolated_vertices_get_default_labels():
     g, labels = parse_edge_list("n 3\ne x y\n")
-    assert g.edge_count() == 1
+    assert edge_count(g) == 1
     assert labels.labels[:2] == ("x", "y")
     assert labels.labels[2] == "2"
 
@@ -176,7 +179,7 @@ def test_every_accepted_label_map_round_trips(g, data):
     back, back_labels = parse_edge_list(emit_edge_list(g, labels))
 
     def labelled_edges(graph, label_map):
-        return {frozenset((label_map.label(u), label_map.label(v))) for u, v in graph.edges()}
+        return {frozenset((label_map.label(u), label_map.label(v))) for u, v in graph_edges(graph)}
 
     assert back.n == g.n
     assert labelled_edges(back, back_labels) == labelled_edges(g, labels)
@@ -849,10 +852,14 @@ def test_canonical_edge_list_is_parsed_without_a_list_of_its_lines():
 
 def test_indented_or_commented_edge_list_is_parsed_without_a_list_of_its_lines():
     # a chunk read line by line holds its own lines only, so these copies
-    # peak at about a fifth of their text too
+    # peak at about a fifth of their text too; so do the label pass's walk,
+    # on a copy with every label renamed and on one whose last line alone,
+    # naming a 601st vertex, sends the default pass there
     text = emit_edge_list(random_nb_graph(600, seed=1))
     indented = "".join(" " + line for line in text.splitlines(True))
-    for copy in (indented, "# comment\n" + text):
+    renamed = re.sub(r"^e (\d+) (\d+)$", r"e v\1 v\2", text, flags=re.M)
+    late_label = text.replace("n 600", "n 601", 1) + "e 0 x\n"
+    for copy in (indented, "# comment\n" + text, renamed, late_label):
         assert parse_peak(copy) <= len(copy)
 
 

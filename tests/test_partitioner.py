@@ -19,6 +19,7 @@ from raagv import (
 from raagv.harness import enumerate_graphs, random_nb_graph
 
 from helpers import (
+    block_family,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -119,11 +120,11 @@ def test_pivot_independence_on_random_members():
         g = random_nb_graph(n, seed=trial)
         reference = canonical_partition(g)
         assert isinstance(reference, CommutingPartition)
-        assert greedy_partition(g).family() == reference.family()
+        assert block_family(greedy_partition(g)) == block_family(reference)
         for seed in range(10):
             p = reference_greedy_partition(g, seeded_pivot(seed))
             assert isinstance(p, CommutingPartition)
-            assert p.family() == reference.family()
+            assert block_family(p) == block_family(reference)
 
 
 def test_run_greedy_bookkeeping():
@@ -203,7 +204,7 @@ def test_canonical_partition_matches_greedy_family():
             p = greedy_partition(g)
             if isinstance(c, CommutingPartition):
                 assert isinstance(p, CommutingPartition)
-                assert c.family() == p.family()
+                assert block_family(c) == block_family(p)
                 assert c.parts == tuple(sorted(c.parts, key=min))
             else:
                 assert isinstance(p, ForbiddenTriple)
