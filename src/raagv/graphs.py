@@ -15,16 +15,15 @@ pattern and :class:`ForbiddenTriple` for one that does not.  So does the
 check that a partition's blocks partition the vertices, which the partition
 validator and both word solvers share.
 
-:class:`Graph` and :class:`ForbiddenTriple` are built once or twice per
-graph of an exhaustive sweep, so each has a hand-written ``__init__`` that
-fills the instance ``__dict__`` by item assignment.  A frozen dataclass's
-generated ``__init__`` calls ``object.__setattr__`` once per field and then
-``__post_init__``, which took twice as long; ``dict.update`` would build a
-keyword dict per call and unshare the instance dict's keys.  Both stay
-frozen dataclasses: equality, hashing, ``repr``, ``replace`` (which calls
-``__init__`` and so re-validates) and pickling are the generated ones, and
-the instance ``__dict__`` still holds per-object caches such as the word
-model of :mod:`raagv.words`.
+:class:`Graph` is built once per graph of an exhaustive sweep, so it fills
+its instance ``__dict__`` by item assignment in a hand-written ``__init__``:
+a frozen dataclass's generated one calls ``object.__setattr__`` per field,
+which took twice as long, and ``dict.update`` would build a keyword dict per
+call and unshare the instance dict's keys.  Equality, hashing, ``repr``,
+``replace`` and pickling stay the generated ones, and the ``__dict__`` still
+holds per-object caches such as the word model of :mod:`raagv.words`.
+:class:`ForbiddenTriple`, built at most once per decision, keeps the
+generated ``__init__`` and checks its fields in ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ class CommutingPartition:
         return (self.p0, *self.parts)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ForbiddenTriple:
     """Witness (a, b, c): (a, b) is an edge and c is adjacent to neither.
 
@@ -87,15 +86,12 @@ class ForbiddenTriple:
     b: int
     c: int
 
-    def __init__(self, a: int, b: int, c: int) -> None:
+    def __post_init__(self) -> None:
+        a, b, c = self.a, self.b, self.c
         if a == b or c == a or c == b:
             raise ValueError("witness vertices must be pairwise distinct")
         if a >= b:
             raise ValueError("witness edge must be normalized with a < b")
-        fields = self.__dict__
-        fields["a"] = a
-        fields["b"] = b
-        fields["c"] = c
 
     def holds_in(self, g: Graph) -> bool:
         """True iff this triple actually certifies g."""
@@ -136,25 +132,20 @@ def _low(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _mask(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def _block_masks(blocks: Iterable[Iterable[int]], n: int) -> list[int]:
     """The masks of the blocks, in their order (p0 first where that
     matters).  Raises ValueError unless the blocks partition 0..n-1: a
-    vertex out of range, then an overlap, each found block by block, then a
-    vertex no block covers.  Empty blocks are allowed."""
+    vertex out of range, then an overlap, each found block by block in one
+    walk of the block, then a vertex no block covers.  Empty blocks are
+    allowed."""
     masks = []
     union = 0
     for block in blocks:
+        mask = 0
         for v in block:
             if not 0 <= v < n:
                 raise ValueError(f"vertex {v} is outside 0..{n - 1}")
-        mask = _mask(block)
+            mask |= 1 << v
         if union & mask:
             raise ValueError("blocks overlap")
         union |= mask

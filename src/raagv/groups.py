@@ -39,10 +39,6 @@ class GroupDecomposition:
         if any(r < 1 for r in self.free_ranks):
             raise ValueError("free ranks must be positive")
 
-    @property
-    def total_rank(self) -> int:
-        return self.abelian_rank + sum(self.free_ranks)
-
 
 def format_decomposition(d: GroupDecomposition) -> str:
     """Render as ``Z^a x F_r1 x F_r2 x ...``, omitting Z^a when a = 0 and

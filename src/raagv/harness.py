@@ -25,8 +25,8 @@ from .graphs import Graph, _bits, _block_masks, new_graph
 from .partition import _greedy_cuts
 
 __all__ = (
-    "CrossCheckReport", "Mismatch", "cross_check", "enumerate_graphs", "graph_from_family",
-    "random_graph", "random_nb_graph",
+    "CrossCheckReport", "Mismatch", "cross_check", "enumerate_graphs", "random_graph",
+    "random_nb_graph",
 )
 
 MAX_ENUMERATION_N = 8
@@ -133,7 +133,7 @@ def _random_partition_family(
     return p0, parts
 
 
-def graph_from_family(
+def _graph_from_family(
     n: int, p0: frozenset[int], parts: tuple[frozenset[int], ...]
 ) -> Graph:
     """The complete-multipartite-plus-universal graph realizing the blocks:
@@ -155,4 +155,4 @@ def graph_from_family(
 def random_nb_graph(n: int, seed: int) -> Graph:
     """A random pattern-free graph, built from a random block structure."""
     p0, parts = _random_partition_family(n, seed)
-    return graph_from_family(n, p0, parts)
+    return _graph_from_family(n, p0, parts)

@@ -37,7 +37,7 @@ from raagv import (
     recognize_multipartite,
 )
 from raagv.graphio import MAX_VERTICES, _echo
-from raagv.graphs import _bits, _low, _mask, _universal_mask
+from raagv.graphs import _bits, _low, _universal_mask
 from raagv.matrixrep import IDENTITY, Matrix, MatrixImage, evaluate_word
 
 
@@ -255,7 +255,7 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
     for v in verts:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} is outside 0..{g.n - 1}")
-    mask = _mask(verts)
+    mask = sum(1 << v for v in verts)
     for v in verts:
         if g.adj[v] & mask != mask & ~(1 << v):
             return False
@@ -749,6 +749,11 @@ def reference_decompose(p: CommutingPartition) -> GroupDecomposition:
     return GroupDecomposition(len(p.p0), tuple(len(part) for part in p.parts))
 
 
+def total_rank(d: GroupDecomposition) -> int:
+    """The number of generators of Z^a x F_r1 x ...: a plus the free ranks."""
+    return d.abelian_rank + sum(d.free_ranks)
+
+
 def reference_canonical_form(d: GroupDecomposition) -> GroupDecomposition:
     """Fold each F_1 into the abelian rank and sort the other free ranks in
     descending order.  After ``reference_decompose`` this is the group that
@@ -761,7 +766,7 @@ def reference_canonical_form(d: GroupDecomposition) -> GroupDecomposition:
 def reference_graph_from_family(
     n: int, p0: frozenset[int], parts: tuple[frozenset[int], ...]
 ) -> Graph:
-    """harness.graph_from_family as it was before it built rows from block
+    """harness._graph_from_family as it was before it built rows from block
     masks: an owner table, then every vertex pair through new_graph."""
     owner: dict[int, int] = {}
     for i, block in enumerate((p0, *parts)):

@@ -29,7 +29,7 @@ def test_greedy_witnesses_on_seven_vertices():
     builder's witnesses are checked here: it returns a partition exactly
     when the triple scan finds no triple, and every witness it returns holds
     in its graph.  The triple scan's least witness is the reference scan's
-    (about 13 s on the same guest)."""
+    (about 15 s on the same guest)."""
     partitions = 0
     for g in enumerate_graphs(7):
         greedy = greedy_partition(g)

@@ -58,8 +58,8 @@ def test_graph_is_immutable():
         g.n = 5
 
 
-# Graph and ForbiddenTriple write their fields straight into the instance
-# dict; everything else about them must stay the generated dataclass code.
+# Graph writes its fields straight into the instance dict; everything else
+# about it, and all of ForbiddenTriple, must stay the generated dataclass code.
 @pytest.mark.parametrize(
     "value, fields, text",
     [

@@ -10,7 +10,6 @@ from raagv import (
     canonical_partition,
     cross_check,
     enumerate_graphs,
-    graph_from_family,
     is_nb,
     new_graph,
     random_graph,
@@ -18,7 +17,7 @@ from raagv import (
     recognize_multipartite,
 )
 from raagv.cli import main
-from raagv.harness import _random_partition_family
+from raagv.harness import _graph_from_family, _random_partition_family
 
 from helpers import (
     block_family,
@@ -126,40 +125,40 @@ def test_random_nb_graph_deterministic_and_pattern_free():
 
 
 def test_graph_from_family_star_example():
-    g = graph_from_family(3, frozenset({0}), (frozenset({1, 2}),))
+    g = _graph_from_family(3, frozenset({0}), (frozenset({1, 2}),))
     assert sorted(graph_edges(g)) == [(0, 1), (0, 2)]
 
 
 def test_graph_from_family_all_universal_is_complete():
-    g = graph_from_family(4, frozenset({0, 1, 2, 3}), ())
+    g = _graph_from_family(4, frozenset({0, 1, 2, 3}), ())
     assert g == complete_graph(4)
 
 
 def test_graph_from_family_validation():
     # the block check the partition validator and both word solvers share
     with pytest.raises(ValueError, match="blocks overlap"):
-        graph_from_family(3, frozenset({0}), (frozenset({0, 1, 2}),))
+        _graph_from_family(3, frozenset({0}), (frozenset({0, 1, 2}),))
     with pytest.raises(ValueError, match="blocks do not cover the vertex set"):
-        graph_from_family(3, frozenset({0}), (frozenset({1}),))
+        _graph_from_family(3, frozenset({0}), (frozenset({1}),))
     with pytest.raises(ValueError, match=r"vertex 5 is outside 0\.\.1"):
-        graph_from_family(2, frozenset({0}), (frozenset({5}),))
+        _graph_from_family(2, frozenset({0}), (frozenset({5}),))
     # a negative vertex is rejected by the range check, before any shift
     with pytest.raises(ValueError, match=r"vertex -1 is outside 0\.\.2"):
-        graph_from_family(3, frozenset({0}), (frozenset({1, -1}),))
+        _graph_from_family(3, frozenset({0}), (frozenset({1, -1}),))
     # an empty part is no fault; it adds no vertex
-    assert graph_from_family(3, frozenset({0}), (frozenset(), frozenset({1, 2}))) == (
-        graph_from_family(3, frozenset({0}), (frozenset({1, 2}),))
+    assert _graph_from_family(3, frozenset({0}), (frozenset(), frozenset({1, 2}))) == (
+        _graph_from_family(3, frozenset({0}), (frozenset({1, 2}),))
     )
 
 
 def test_graph_from_family_matches_pair_builder():
-    assert graph_from_family(0, frozenset(), ()) == reference_graph_from_family(
+    assert _graph_from_family(0, frozenset(), ()) == reference_graph_from_family(
         0, frozenset(), ()
     )
     for n in range(1, 61):
         for seed in range(5):
             p0, parts = _random_partition_family(n, seed * 1000 + n)
-            assert graph_from_family(n, p0, parts) == reference_graph_from_family(
+            assert _graph_from_family(n, p0, parts) == reference_graph_from_family(
                 n, p0, parts
             )
 
@@ -168,7 +167,7 @@ def test_random_family_round_trips_through_canonical_partition():
     for seed in range(150):
         n = seed % 11 + 1
         p0, parts = _random_partition_family(n, seed)
-        g = graph_from_family(n, p0, parts)
+        g = _graph_from_family(n, p0, parts)
         assert g == random_nb_graph(n, seed)
         p = canonical_partition(g)
         assert isinstance(p, CommutingPartition)

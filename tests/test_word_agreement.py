@@ -13,7 +13,7 @@ import random
 import pytest
 
 from raagv import CommutingPartition, Letter, canonical_partition, group_model, normal_form
-from raagv.harness import enumerate_graphs, graph_from_family, random_nb_graph
+from raagv.harness import _graph_from_family, enumerate_graphs, random_nb_graph
 from raagv.matrixrep import _RUN, evaluate_word
 
 from helpers import (
@@ -149,7 +149,7 @@ def test_product_tree_on_a_long_word():
 def test_letter_shapes_agree_with_the_references():
     # two p0 vertices, a part of 300 vertices and one of two
     p = CommutingPartition(frozenset({0, 1}), (frozenset(range(2, 302)), frozenset({302, 303})))
-    g = graph_from_family(304, p.p0, p.parts)
+    g = _graph_from_family(304, p.p0, p.parts)
     assert canonical_partition(g) == p
     rng = random.Random(25)
     every = [Letter(v, rng.choice((1, -1))) for v in range(2, 302)]  # every vertex of the big part
@@ -178,7 +178,7 @@ def test_both_solvers_read_a_letter_alike():
     # a letter is looked up by value: a float vertex equal to a generator is
     # that generator, and a list, which has no hash, is no letter
     p = CommutingPartition(frozenset({0}), (frozenset({1, 2}), frozenset({3, 4})))
-    g = graph_from_family(5, p.p0, p.parts)
+    g = _graph_from_family(5, p.p0, p.parts)
     w = (Letter(0, 1), Letter(1, 1), Letter(3, -1), Letter(1, -1), Letter(2, 1))
     floats = tuple((float(v), s) for v, s in w)
     assert normal_form(g, floats) == normal_form(g, w)

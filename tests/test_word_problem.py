@@ -302,6 +302,7 @@ def test_matrix_rejects_uncovered_vertex():
         ((), ({5},), "vertex 5 is outside 0..0"),  # one vertex held, so n = 1
         ((0,), ({0},), "blocks overlap"),  # 0 in p0 and in part 0
         ((0,), ({0, 1},), "blocks overlap"),  # p0 exponents would miss a letter on 0
+        ((0,), ({0, 5},), "vertex 5 is outside 0..2"),  # a block's range error before its overlap
     ],
 )
 def test_solvers_reject_blocks_that_are_no_partition(p0, parts, text):
