@@ -5,11 +5,10 @@ greedy partitioner, twin-class recognizer) over every labeled graph of a
 given order and records disagreements; the counts double as a check against
 the expected number of pattern-free graphs, which equals the Bell numbers.
 It keeps only a yes or no from each decider, so it calls their private mask
-cores, which build no result object and, for the greedy builder, skip the
-search for a missing cross edge that would only name a witness; the public
-deciders wrap the same cores.  It draws every graph through the module
-attribute ``enumerate_graphs``, so that a caller can wrap the generator to
-time each graph.  The random generators here feed the property tests and
+cores, which build no result object; the public deciders wrap the same
+cores.  It draws every graph through the module attribute
+``enumerate_graphs``, so that a caller can wrap the generator to time each
+graph.  The random generators here feed the property tests and
 are deterministic in their seed.
 """
 
@@ -21,7 +20,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .classify import _least_triple, _twin_blocks
-from .graphs import Graph, _bits, _block_masks, new_graph
+from .graphs import Graph, new_graph
 from .partition import _greedy_cuts
 
 __all__ = (
@@ -85,7 +84,7 @@ def cross_check(n: int) -> CrossCheckReport:
     for total, g in enumerate(enumerate_graphs(n), 1):
         adj = g.adj
         triple_free = _least_triple(adj) is None
-        greedy_ok = not _greedy_cuts(adj)[2]
+        greedy_ok = _greedy_cuts(adj)[2] is None
         multi_ok = _twin_blocks(adj) is not None
         nb += triple_free
         gp += greedy_ok
@@ -105,54 +104,24 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return new_graph(n, edges)
 
 
-def _random_partition_family(
-    n: int, seed: int
-) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
-    """Seeded random block structure: a (possibly empty) universal set plus
-    independent parts, the parts ordered by minimum vertex.
+def random_nb_graph(n: int, seed: int) -> Graph:
+    """A random pattern-free graph, deterministic in the seed.
 
-    Singleton parts are legal; in the built graph their vertex simply comes
-    out universal and is absorbed into p0 by the canonical partition.  With
-    no vertices the family is empty.
+    Each vertex draws a label from 0..slots: label 0 makes it universal, and
+    the vertices of any other label form a part, which spans no edge and is
+    joined to everything outside it.  A part of one vertex simply comes out
+    universal.  So each row is one mask: everything but the vertex itself
+    for label 0, everything outside the part otherwise.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if n == 0:
-        return frozenset(), ()
+        return Graph(0, ())
     rng = random.Random(seed)
     slots = rng.randint(1, n)
-    labels = [rng.randint(0, slots) for _ in range(n)]  # label 0 = universal block
-    p0 = frozenset(v for v, lab in enumerate(labels) if lab == 0)
-    groups: dict[int, list[int]] = {}
+    labels = [rng.randint(0, slots) for _ in range(n)]
+    masks = [0] * (slots + 1)
     for v, lab in enumerate(labels):
-        if lab:
-            groups.setdefault(lab, []).append(v)
-    parts = tuple(
-        frozenset(vs) for vs in sorted(groups.values(), key=min)
-    )
-    return p0, parts
-
-
-def _graph_from_family(
-    n: int, p0: frozenset[int], parts: tuple[frozenset[int], ...]
-) -> Graph:
-    """The complete-multipartite-plus-universal graph realizing the blocks:
-    p0 vertices are joined to everything, parts span no internal edge, and
-    all cross-block pairs are joined.  Each row is one mask: everything but
-    the vertex itself for p0, everything outside the part for a part.
-    Raises ValueError unless the blocks partition 0..n-1; empty parts are
-    allowed."""
-    masks = _block_masks((p0, *parts), n)
+        masks[lab] |= 1 << v
     full = (1 << n) - 1
-    adj = [full ^ 1 << v for v in range(n)]
-    for mask in masks[1:]:
-        row = full ^ mask
-        for v in _bits(mask):
-            adj[v] = row
-    return Graph(n, tuple(adj))
-
-
-def random_nb_graph(n: int, seed: int) -> Graph:
-    """A random pattern-free graph, built from a random block structure."""
-    p0, parts = _random_partition_family(n, seed)
-    return _graph_from_family(n, p0, parts)
+    return Graph(n, tuple(full ^ (masks[lab] if lab else 1 << v) for v, lab in enumerate(labels)))

@@ -10,30 +10,23 @@ as an unordered family of blocks.
 This module has the greedy construction (least-vertex pivots) and
 the validator for the defining conditions.  Both work on adjacency masks: a
 part is valid exactly when each of its vertices is adjacent to everything
-outside it and nothing inside it, one mask compare per vertex.  The pass
-that makes those compares also notes the first part with a failing row;
-the search for a missing cross edge starts at that part, since every block
-before it (p0 included, being universal) has all its rows right.  The greedy
-builder makes those compares on each part as soon as it cuts it, so it
-stops at the first internal edge without cutting the rest, and it searches
-for a missing cross edge only after the last cut.  It returns the parts and
-the witness that cutting everything first and validating after would give;
-vertex sets are built only for what it returns.  A failed greedy run is
-turned into a forbidden-triple witness through its pivot, never through
-another decider.  The builder's core works on the masks alone and returns
-the cut masks, the first part with a failing row and the internal-edge
-witness if the cut stopped at one; ``greedy_partition`` wraps that answer.
-``harness.cross_check`` reads only the core's decision, so it neither builds
-a result object nor searches for the missing cross edge nobody would read.
-The result types come from :mod:`raagv.graphs`; ``canonical_partition``
-lives in :mod:`raagv.classify` and is bound here only under the name the
-benchmark traces.
+outside it and nothing inside it, one mask compare per vertex.  The
+validator's pass over those compares also notes the first part with a
+failing row, and its search for a missing cross edge looks only there,
+since every block before it (p0 included, being universal) has all its rows
+right.  The greedy builder makes those compares on each part as soon as it
+cuts it and stops at the first failing row, which names a forbidden triple
+through the part's pivot; it never calls another decider.  Its core works
+on the masks alone and returns the cut masks and that triple, or None;
+``greedy_partition`` wraps that answer, and ``harness.cross_check`` reads
+only whether the triple is None.  The result types come from
+:mod:`raagv.graphs`; ``canonical_partition`` lives in :mod:`raagv.classify`
+and is bound here only under the name the benchmark traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .classify import canonical_partition  # the benchmark traces it by this name
 from .graphs import (
@@ -109,90 +102,59 @@ def validate_partition(g: Graph, p: CommutingPartition) -> Violation | None:
                 first = first or k
     if not first:
         return None
-    u, v, i, j = _missing_cross_edge(g, masks, first)
-    return MissingCrossEdge(u, v, (i, j))
-
-
-def _missing_cross_edge(g: Graph, masks: Sequence[int], first: int) -> tuple[int, int, int, int]:
-    """The first missing cross edge, in :func:`validate_partition`'s order, of
-    block masks that partition g with masks[0] universal and no internal
-    edge: (u, v, i, j) with u in block i < j and v in block j.  ``first`` is
-    the first part with a failing row, so one exists."""
-    # the rows of p0 (universal) and of every part before the first failing
-    # one are right, so none of them misses an edge: the search starts there.
-    # The union of a part's non-neighbours finds the first block j it misses
-    # with one AND per block, so a large part's vertices are tried against
-    # that block alone rather than against every block before it.
-    adj = g.adj
-    for i in range(first, len(masks)):
-        members = _bits(masks[i])
-        missed = 0
-        for u in members:
-            missed |= ~adj[u]
-        for j in range(i + 1, len(masks)):
-            later = masks[j]
-            if later & missed:
-                for u in members:
-                    hole = later & ~adj[u]
-                    if hole:
-                        return u, _low(hole), i, j
-    raise AssertionError("a failing row without an internal edge misses a cross edge")
+    # p0 (universal) and every part before the first failing one have all
+    # their rows right, so they miss no edge, and what the first failing part
+    # misses lies in a later block.  The union of its non-neighbours finds
+    # the first such block with one AND per block, and only its vertices are
+    # tried against that block.
+    members = _bits(masks[first])
+    missed = 0
+    for u in members:
+        missed |= ~adj[u]
+    j = next(j for j in range(first + 1, len(masks)) if masks[j] & missed)
+    u = next(u for u in members if masks[j] & ~adj[u])
+    return MissingCrossEdge(u, _low(masks[j] & ~adj[u]), (first, j))
 
 
 def greedy_partition(g: Graph) -> CommutingPartition | ForbiddenTriple:
     """Build a commuting partition greedily, or produce a witness.
 
-    One loop cuts the parts and checks each as soon as it is cut.  The
-    pivot w is the least unassigned vertex and its part is w with its
-    unassigned non-neighbours; a part {w} alone, with w adjacent to every
-    other vertex (n > 1), goes to p0 instead.  Every other vertex u of the
-    part must have the vertices outside the part as its row.  At the first
-    u with an edge inside the part, to v say, (u, v, w) is returned: u < v,
-    since a lower partner would have been met first, and w is adjacent to
-    neither.  A row that fails without an inside edge misses a cross edge;
-    the first part holding one is noted, and after the last cut the search
-    for the missing edge starts there.  Vertex sets are built only for a
-    returned partition.
+    One loop cuts the parts, ascending by least vertex, and checks each as
+    soon as it is cut.  The pivot w is the least unassigned vertex and its
+    part is w with its unassigned non-neighbours; a part {w} alone, with w
+    adjacent to every other vertex (n > 1), goes to p0 instead.  Every
+    other vertex u of the part must have the vertices outside the part as
+    its row.  The first u whose row differs names the witness:
 
-    This returns what cutting every part first and then checking them in
-    :func:`validate_partition`'s order would.  A universal vertex is
-    adjacent to every pivot, so it joins no other vertex's part, and at its
-    own turn its part is itself: p0 and the parts come out the same, in the
-    same order, ascending by least vertex.  The parts are checked in that
-    order, so the first internal edge met is the validator's first.  The
-    pivots are not checked: a pivot w's row has no inside edge, and it
-    fails only by missing some x of an earlier part, whose row then fails
-    too (x is not that part's pivot, which would have taken w into its
-    part).  A missing cross edge from u in w's part to v in a later one
-    never starts in p0, which is exactly the universal set, and u != w
-    because w is adjacent to v; it gives (min(v, w), max(v, w), u).  On
-    graphs that admit a commuting partition any pivot order would reach the
-    same unordered block family.
+    * an edge from u to v, the least inside neighbour, gives (u, v, w): a
+      lower partner would have failed first, and w is adjacent to neither;
+    * otherwise the least vertex x outside the part that u misses gives
+      (min(w, x), max(w, x), u).  Earlier pivots are adjacent to u, which
+      is not in their parts, and so are the other vertices of earlier parts
+      (their rows were right) and p0 (universal); so x was unassigned, and
+      it is adjacent to w, not being in w's part.
+
+    Pivot rows need no check: one fails only by missing a non-pivot vertex
+    of an earlier part, whose row failed first.  None of this uses the
+    least pivot; on graphs that admit a commuting partition any pivot order
+    reaches the same unordered block family.
     """
-    p0, parts, first, inside = _greedy_cuts(g.adj)
-    if not first:
-        return CommutingPartition(frozenset(_bits(p0)), tuple(frozenset(_bits(m)) for m in parts))
-    if inside is not None:
-        return ForbiddenTriple(*inside)
-    u, v, i, _ = _missing_cross_edge(g, [p0, *parts], first)
-    w = _low(parts[i - 1])
-    return ForbiddenTriple(min(v, w), max(v, w), u)
+    p0, parts, witness = _greedy_cuts(g.adj)
+    if witness is not None:
+        return ForbiddenTriple(*witness)
+    return CommutingPartition(frozenset(_bits(p0)), tuple(frozenset(_bits(m)) for m in parts))
 
 
-def _greedy_cuts(
-    adj: tuple[int, ...],
-) -> tuple[int, list[int], int, tuple[int, int, int] | None]:
-    """The core of :func:`greedy_partition`: (p0, parts, first, inside).
+def _greedy_cuts(adj: tuple[int, ...]) -> tuple[int, list[int], tuple[int, int, int] | None]:
+    """The core of :func:`greedy_partition`: (p0, parts, witness).
 
-    p0 and parts are the masks cut so far, first is the first part with a
-    failing row (0 when every row is right, which is the decision), and
-    inside is (u, v, w) when the cut stopped at an internal edge, else None.
+    p0 and parts are the masks cut so far, and witness is the triple named
+    by the first failing row, None when every row is right (the decision).
     """
     n = len(adj)
     full = (1 << n) - 1
     p0 = 0
     parts: list[int] = []
-    first = 0
     remaining = full
     while remaining:
         pivot = remaining & -remaining
@@ -206,8 +168,9 @@ def _greedy_cuts(
         row = full ^ part
         for u in _bits(part ^ pivot):
             if adj[u] != row:
-                first = first or len(parts)
                 inside = adj[u] & part
                 if inside:
-                    return p0, parts, first, (u, _low(inside), w)
-    return p0, parts, first, None
+                    return p0, parts, (u, _low(inside), w)
+                x = _low(row & ~adj[u])
+                return p0, parts, (min(w, x), max(w, x), u)
+    return p0, parts, None

@@ -328,8 +328,8 @@ class GreedyRun:
 
 
 def run_greedy(g: Graph) -> GreedyRun:
-    """The cut loop of :func:`two_phase_greedy_partition`, with its masks
-    turned into vertex sets; each part's pivot is its least vertex."""
+    """The cut loop of :func:`two_phase_cuts`, with its masks turned into
+    vertex sets; each part's pivot is its least vertex."""
     p0, parts = two_phase_cuts(g)
     blocks = tuple(frozenset(_bits(m)) for m in parts)
     return GreedyRun(frozenset(_bits(p0)), blocks, tuple(map(_low, parts)))
@@ -359,46 +359,46 @@ def reference_run_greedy(g: Graph, pivot_rule=min) -> GreedyRun:
 
 
 def reference_greedy_partition(g: Graph, pivot_rule=min) -> CommutingPartition | ForbiddenTriple:
-    """The greedy builder with its witness traced back through the pivot,
-    checked with holds_in, and the triple scan as a fallback."""
-    run = reference_run_greedy(g, pivot_rule)
-    violation = reference_validate_partition(g, CommutingPartition(run.p0, run.parts))
-    if violation is None:
-        return CommutingPartition(run.p0, tuple(sorted(run.parts, key=min)))
-    triple = _reference_witness(run, violation)
-    if triple is not None and triple.holds_in(g):
-        return triple
-    fallback = reference_find_forbidden_triple(g)
-    if fallback is None:
-        raise AssertionError("greedy construction failed on a triple-free graph")
-    return fallback
+    """The greedy builder on vertex sets, in two phases.
+
+    First every part is cut: ``pivot_rule`` picks a pivot w from the
+    ascending tuple of unassigned vertices (by default the least, as
+    ``greedy_partition`` does), and w's part is w with its unassigned
+    non-neighbours.  Then the parts are checked in cut order, each vertex
+    but the pivot in ascending order, and the first u whose neighbours are
+    not exactly the vertices outside its part names the witness: (u, v, w)
+    for its least neighbour v inside the part, else (w, x, u), the edge
+    sorted, for the least x outside the part that u misses.  When every
+    check passes, the one-vertex parts, which hold the universal vertices,
+    make up p0 (unless g has one vertex) and the other parts come ascending
+    by least vertex.
+    """
+    vertices = frozenset(range(g.n))
+    remaining = set(vertices)
+    cuts = []
+    while remaining:
+        w = pivot_rule(tuple(sorted(remaining)))
+        part = frozenset(remaining.difference(_bits(g.adj[w])))
+        cuts.append((w, part))
+        remaining -= part
+    for w, part in cuts:
+        outside = vertices - part
+        for u in sorted(part - {w}):
+            neighbours = set(_bits(g.adj[u]))
+            if neighbours & part:
+                return ForbiddenTriple(u, min(neighbours & part), w)
+            if neighbours != outside:
+                x = min(outside - neighbours)
+                return ForbiddenTriple(min(w, x), max(w, x), u)
+    p0 = frozenset(w for w, part in cuts if len(part) == 1 and g.n > 1)
+    return CommutingPartition(p0, tuple(sorted((part for _, part in cuts if not part <= p0), key=min)))
 
 
-def _reference_witness(run: GreedyRun, violation) -> ForbiddenTriple | None:
-    if isinstance(violation, InternalEdge):
-        w = run.pivots[violation.part - 1]
-        u, v = violation.u, violation.v
-        if w in (u, v):
-            return None
-        return ForbiddenTriple(min(u, v), max(u, v), w)
-    if isinstance(violation, MissingCrossEdge):
-        i, j = violation.blocks
-        if i == 0:
-            return None
-        w = run.pivots[i - 1]
-        u, v = violation.u, violation.v
-        if u == w:
-            return None
-        return ForbiddenTriple(min(v, w), max(v, w), u)
-    return None
-
-
-# ------------------------------------------------------ two-phase greedy
+# ------------------------------------------------------ two-phase cuts
 #
-# The mask-level greedy builder as it was before it checked each part as it
-# cut it: the universal pass, every cut, then the validator's first
-# violation over all the blocks, and the witness through the pivot.
-# greedy_partition must return exactly what this returns.
+# The mask-level cut loop as it was before the greedy builder checked each
+# part as it cut it: the universal pass, then every cut.  The greedy core's
+# cut masks must be a prefix of these.
 
 
 def two_phase_cuts(g: Graph) -> tuple[int, list[int]]:
@@ -414,51 +414,6 @@ def two_phase_cuts(g: Graph) -> tuple[int, list[int]]:
         parts.append(part)
         remaining ^= part
     return p0, parts
-
-
-def two_phase_first_violation(g: Graph, masks: list[int]) -> tuple[int, int, int, int] | None:
-    """The first internal or missing cross edge, in ``validate_partition``'s
-    order, of block masks that partition g, masks[0] universal: (u, v, i, j)
-    with u in block i and v in block j, and j == i for an internal edge."""
-    adj = g.adj
-    full = (1 << g.n) - 1
-    first = 0
-    for k in range(1, len(masks)):
-        mask = masks[k]
-        row = full ^ mask
-        for u in _bits(mask):
-            if adj[u] != row:
-                inside = adj[u] & mask
-                if inside:
-                    return u, _low(inside), k, k
-                first = first or k
-    if not first:
-        return None
-    for i in range(first, len(masks)):
-        members = _bits(masks[i])
-        missed = 0
-        for u in members:
-            missed |= ~adj[u]
-        for j in range(i + 1, len(masks)):
-            later = masks[j]
-            if later & missed:
-                for u in members:
-                    hole = later & ~adj[u]
-                    if hole:
-                        return u, _low(hole), i, j
-    return None
-
-
-def two_phase_greedy_partition(g: Graph) -> CommutingPartition | ForbiddenTriple:
-    p0, parts = two_phase_cuts(g)
-    found = two_phase_first_violation(g, [p0, *parts])
-    if found is None:
-        return CommutingPartition(frozenset(_bits(p0)), tuple(frozenset(_bits(m)) for m in parts))
-    u, v, i, j = found
-    w = _low(parts[i - 1])
-    if i == j:
-        return ForbiddenTriple(u, v, w)
-    return ForbiddenTriple(min(v, w), max(v, w), u)
 
 
 # ------------------------------------------------------ perturbed graphs
@@ -519,7 +474,7 @@ def boundary_sweep(n: int) -> tuple[int, int, list[Graph]]:
     Returns the pattern-free members, the pattern-free flips, and the graphs
     on which the deciders disagree, a positive greedy partition differs from
     the recognizer's, a greedy witness fails ``holds_in``, the greedy
-    builder's result differs from :func:`two_phase_greedy_partition`'s, or
+    builder's result differs from :func:`reference_greedy_partition`'s, or
     the least witness differs from :func:`reference_find_forbidden_triple`'s.
     """
     members = flips = 0
@@ -535,7 +490,7 @@ def boundary_sweep(n: int) -> tuple[int, int, list[Graph]]:
 def _decide(g: Graph, bad: list[Graph]) -> bool:
     """The triple scan's verdict, with g appended to ``bad`` when the greedy
     builder or the recognizer says otherwise, the greedy witness fails, the
-    greedy builder strays from the two-phase one, or the triple scan names
+    greedy builder strays from the reference one, or the triple scan names
     another triple than the reference scan."""
     witness = find_forbidden_triple(g)
     free = witness is None
@@ -545,7 +500,7 @@ def _decide(g: Graph, bad: list[Graph]) -> bool:
         ok = free and part is not None and block_family(greedy) == block_family(part)
     else:
         ok = not free and part is None and greedy.holds_in(g)
-    if not ok or greedy != two_phase_greedy_partition(g) or witness != reference_find_forbidden_triple(g):
+    if not ok or greedy != reference_greedy_partition(g) or witness != reference_find_forbidden_triple(g):
         bad.append(g)
     return free
 
@@ -763,11 +718,41 @@ def reference_canonical_form(d: GroupDecomposition) -> GroupDecomposition:
     return GroupDecomposition(d.abelian_rank + ones, tuple(rest))
 
 
+def reference_random_partition_family(
+    n: int, seed: int
+) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
+    """The block structure ``harness.random_nb_graph`` draws, as vertex sets:
+    the same ``random.Random(seed)`` calls, then label 0 as p0 and one part
+    per other label, the parts ordered by minimum vertex.
+
+    Singleton parts are legal; in the built graph their vertex simply comes
+    out universal and is absorbed into p0 by the canonical partition.  With
+    no vertices the family is empty.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if n == 0:
+        return frozenset(), ()
+    rng = random.Random(seed)
+    slots = rng.randint(1, n)
+    labels = [rng.randint(0, slots) for _ in range(n)]  # label 0 = universal block
+    p0 = frozenset(v for v, lab in enumerate(labels) if lab == 0)
+    groups: dict[int, list[int]] = {}
+    for v, lab in enumerate(labels):
+        if lab:
+            groups.setdefault(lab, []).append(v)
+    parts = tuple(frozenset(vs) for vs in sorted(groups.values(), key=min))
+    return p0, parts
+
+
 def reference_graph_from_family(
     n: int, p0: frozenset[int], parts: tuple[frozenset[int], ...]
 ) -> Graph:
-    """harness._graph_from_family as it was before it built rows from block
-    masks: an owner table, then every vertex pair through new_graph."""
+    """The complete-multipartite-plus-universal graph on given blocks: p0
+    vertices are joined to everything, parts span no internal edge, and all
+    cross-block pairs are joined.  Built from an owner table, then every
+    vertex pair through new_graph; raises ValueError unless the blocks
+    partition 0..n-1, and empty parts are allowed."""
     owner: dict[int, int] = {}
     for i, block in enumerate((p0, *parts)):
         for v in block:

@@ -4,9 +4,9 @@ Agreement is exact: the same universal set, the same partition with the same
 part order, the same greedy run, first violation and greedy witness, on every
 graph with at most six vertices and on seeded large graphs on both sides of
 the class boundary.  The one-pass greedy builder returns exactly what the
-two-phase one (every cut first, then the validator's order) returns.  The
-reference greedy builder also runs with seeded random pivot orders, which
-must reach the canonical partition or a witness.
+two-phase reference (every cut first, then the first failing row) returns.
+The reference greedy builder also runs with seeded random pivot orders,
+which must reach the canonical partition or a witness.
 """
 
 import random
@@ -18,6 +18,7 @@ from raagv import (
     CommutingPartition,
     ForbiddenTriple,
     Graph,
+    MissingCrossEdge,
     canonical_partition,
     greedy_partition,
     is_nb,
@@ -36,7 +37,6 @@ from helpers import (
     reference_validate_partition,
     run_greedy,
     seeded_pivot,
-    two_phase_greedy_partition,
 )
 
 
@@ -48,7 +48,6 @@ def assert_agree(g: Graph) -> None:
     candidate = CommutingPartition(run.p0, run.parts)
     assert validate_partition(g, candidate) == reference_validate_partition(g, candidate)
     assert greedy_partition(g) == reference_greedy_partition(g)
-    assert greedy_partition(g) == two_phase_greedy_partition(g)
 
 
 def test_agreement_on_every_graph_up_to_six_vertices():
@@ -99,6 +98,37 @@ def test_first_violation_on_every_block_structure_up_to_four_vertices():
                         assert validate_partition(g, p) == reference_validate_partition(g, p)
 
 
+def test_missing_cross_edge_starts_at_the_first_failing_part():
+    # p0 is universal, and every part before the first one with a failing row
+    # has all its rows right, so neither misses an edge: the validator's
+    # search looks only at that part, on seeded random blocks of each graph
+    rng = random.Random(6)
+    found = 0
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            p0 = reference_universal_vertices(g)
+            rest = sorted(set(range(n)) - p0)
+            for _ in range(3):
+                labels = rng.randint(1, len(rest) or 1)
+                blocks: dict[int, set[int]] = {}
+                for v in rest:
+                    blocks.setdefault(rng.randrange(labels), set()).add(v)
+                parts = [frozenset(b) for b in blocks.values()]
+                rng.shuffle(parts)
+                p = CommutingPartition(p0, tuple(parts))
+                violation = validate_partition(g, p)
+                assert violation == reference_validate_partition(g, p)
+                if isinstance(violation, MissingCrossEdge):
+                    outside = [set(range(n)) - part for part in parts]
+                    failing = [
+                        k for k, part in enumerate(parts, 1)
+                        if any({v for v in range(n) if g.has_edge(u, v)} != outside[k - 1] for u in part)
+                    ]
+                    assert violation.blocks[0] == failing[0]
+                    found += 1
+    assert found > 10_000
+
+
 @pytest.mark.parametrize("n", [200, 1000])
 def test_agreement_on_large_seeded_graphs(n):
     rng = random.Random(n)
@@ -116,4 +146,4 @@ def test_one_pass_greedy_matches_two_phase_on_large_graphs(n):
         member = random_nb_graph(n, seed=seed)
         graphs += [member, *near_misses(member, rng)]
     for g in graphs:
-        assert greedy_partition(g) == two_phase_greedy_partition(g)
+        assert greedy_partition(g) == reference_greedy_partition(g)

@@ -17,7 +17,6 @@ from raagv import (
     recognize_multipartite,
 )
 from raagv.cli import main
-from raagv.harness import _graph_from_family, _random_partition_family
 
 from helpers import (
     block_family,
@@ -30,6 +29,7 @@ from helpers import (
     near_misses,
     predicted_canonical_family,
     reference_graph_from_family,
+    reference_random_partition_family,
 )
 
 
@@ -124,50 +124,17 @@ def test_random_nb_graph_deterministic_and_pattern_free():
         assert is_nb(g)
 
 
-def test_graph_from_family_star_example():
-    g = _graph_from_family(3, frozenset({0}), (frozenset({1, 2}),))
-    assert sorted(graph_edges(g)) == [(0, 1), (0, 2)]
-
-
-def test_graph_from_family_all_universal_is_complete():
-    g = _graph_from_family(4, frozenset({0, 1, 2, 3}), ())
-    assert g == complete_graph(4)
-
-
-def test_graph_from_family_validation():
-    # the block check the partition validator and both word solvers share
-    with pytest.raises(ValueError, match="blocks overlap"):
-        _graph_from_family(3, frozenset({0}), (frozenset({0, 1, 2}),))
-    with pytest.raises(ValueError, match="blocks do not cover the vertex set"):
-        _graph_from_family(3, frozenset({0}), (frozenset({1}),))
-    with pytest.raises(ValueError, match=r"vertex 5 is outside 0\.\.1"):
-        _graph_from_family(2, frozenset({0}), (frozenset({5}),))
-    # a negative vertex is rejected by the range check, before any shift
-    with pytest.raises(ValueError, match=r"vertex -1 is outside 0\.\.2"):
-        _graph_from_family(3, frozenset({0}), (frozenset({1, -1}),))
-    # an empty part is no fault; it adds no vertex
-    assert _graph_from_family(3, frozenset({0}), (frozenset(), frozenset({1, 2}))) == (
-        _graph_from_family(3, frozenset({0}), (frozenset({1, 2}),))
-    )
-
-
-def test_graph_from_family_matches_pair_builder():
-    assert _graph_from_family(0, frozenset(), ()) == reference_graph_from_family(
-        0, frozenset(), ()
-    )
-    for n in range(1, 61):
-        for seed in range(5):
-            p0, parts = _random_partition_family(n, seed * 1000 + n)
-            assert _graph_from_family(n, p0, parts) == reference_graph_from_family(
-                n, p0, parts
-            )
-
-
 def test_random_family_round_trips_through_canonical_partition():
+    # random_nb_graph builds its rows straight from the labels it draws: the
+    # pair builder on the reference draw of the same family gives its graph
+    for n in range(61):
+        for seed in range(5):
+            p0, parts = reference_random_partition_family(n, seed * 1000 + n)
+            assert random_nb_graph(n, seed * 1000 + n) == reference_graph_from_family(n, p0, parts)
     for seed in range(150):
         n = seed % 11 + 1
-        p0, parts = _random_partition_family(n, seed)
-        g = _graph_from_family(n, p0, parts)
+        p0, parts = reference_random_partition_family(n, seed)
+        g = reference_graph_from_family(n, p0, parts)
         assert g == random_nb_graph(n, seed)
         p = canonical_partition(g)
         assert isinstance(p, CommutingPartition)
@@ -178,7 +145,7 @@ def test_random_partition_family_shape():
     rng = random.Random(0)
     for seed in range(50):
         n = rng.randint(1, 12)
-        p0, parts = _random_partition_family(n, seed)
+        p0, parts = reference_random_partition_family(n, seed)
         members = list(p0) + [v for part in parts for v in part]
         assert sorted(members) == list(range(n))
         assert all(parts[i] for i in range(len(parts)))
@@ -186,10 +153,12 @@ def test_random_partition_family_shape():
 
 
 def test_random_partition_family_of_no_vertices_is_empty(capsys):
-    assert _random_partition_family(0, seed=1) == (frozenset(), ())
+    assert reference_random_partition_family(0, seed=1) == (frozenset(), ())
     assert random_nb_graph(0, seed=1) == new_graph(0, [])
     with pytest.raises(ValueError):
-        _random_partition_family(-1, seed=1)
+        reference_random_partition_family(-1, seed=1)
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        random_nb_graph(-1, seed=1)
     assert main(["random", "--n", "0"]) == 0
     plain = capsys.readouterr()
     assert main(["random", "--n", "0", "--nb"]) == 0

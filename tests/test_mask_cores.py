@@ -5,7 +5,7 @@ wrapper must never part: the core decides exactly when the public result
 has the positive type, and the public result carries exactly the core's
 data, the same triple and the same blocks in the same order.  The greedy
 core decides by "no failing row", which is what ``validate_partition``
-tests on the blocks it cut.
+tests on the blocks it cut, and it stops at the first part with one.
 """
 
 import random
@@ -16,7 +16,6 @@ from raagv import (
     CommutingPartition,
     ForbiddenTriple,
     Graph,
-    MissingCrossEdge,
     cross_check,
     find_forbidden_triple,
     greedy_partition,
@@ -49,25 +48,24 @@ def assert_wraps_its_core(g: Graph) -> None:
         assert all(members == tuple(sorted(members)) for members in parts)
         assert part == CommutingPartition(frozenset(p0), tuple(map(frozenset, parts)))
 
-    p0_mask, cuts, first, inside = _greedy_cuts(g.adj)
+    p0_mask, cuts, witness = _greedy_cuts(g.adj)
     greedy = greedy_partition(g)
-    assert isinstance(greedy, CommutingPartition) == (first == 0)
+    assert isinstance(greedy, CommutingPartition) == (witness is None)
     full_p0, full_cuts = two_phase_cuts(g)
     assert cuts == full_cuts[: len(cuts)]
     assert p0_mask & ~full_p0 == 0
-    if inside is None:
+    # the parts, pivots included, whose rows are not the vertices outside them
+    full = (1 << g.n) - 1
+    failing = [k for k, m in enumerate(full_cuts, 1) if any(g.adj[u] != full ^ m for u in _bits(m))]
+    if witness is None:
         # every part was cut: the cut masks are the full partition
-        assert (p0_mask, cuts) == (full_p0, full_cuts)
+        assert not failing and (p0_mask, cuts) == (full_p0, full_cuts)
         cut = CommutingPartition(frozenset(_bits(p0_mask)), tuple(frozenset(_bits(m)) for m in cuts))
-        verdict = validate_partition(g, cut)
-        if first == 0:
-            assert verdict is None and greedy == cut
-        else:
-            assert isinstance(verdict, MissingCrossEdge) and verdict.blocks[0] == first
-            assert isinstance(greedy, ForbiddenTriple) and greedy.holds_in(g)
+        assert validate_partition(g, cut) is None and greedy == cut
     else:
-        assert first != 0
-        assert greedy == ForbiddenTriple(*inside)
+        # the cut stopped at the first part with a failing row
+        assert failing[0] == len(cuts)
+        assert greedy == ForbiddenTriple(*witness) and greedy.holds_in(g)
 
 
 def test_cores_agree_with_their_wrappers_on_every_graph_up_to_six_vertices():

@@ -153,6 +153,13 @@ def test_run_greedy_always_terminates_with_disjoint_cover(g):
     assert seen == set(range(g.n))
 
 
+def test_greedy_witness_is_named_at_the_first_failing_row():
+    # the first part is {0, 3, 4}; row 3 is {1}, not the outside {1, 2}, so
+    # the builder stops there: 3 misses 2, which is adjacent to the pivot 0
+    g = new_graph(5, [(0, 1), (0, 2), (1, 2), (1, 3)])
+    assert greedy_partition(g) == ForbiddenTriple(0, 2, 3)
+
+
 def test_validate_accepts_good_partition():
     g = cycle_graph(4)
     p = CommutingPartition(frozenset(), (frozenset({0, 2}), frozenset({1, 3})))
@@ -184,12 +191,15 @@ def test_validate_reports_wrong_p0():
 
 def test_validate_rejects_overlap_and_non_cover():
     g = empty_graph(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="blocks overlap"):
         validate_partition(g, CommutingPartition(frozenset({0}), (frozenset({0, 1, 2}),)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="blocks do not cover the vertex set"):
         validate_partition(g, CommutingPartition(frozenset(), (frozenset({0, 1}),)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"vertex 5 is outside 0\.\.2"):
         validate_partition(g, CommutingPartition(frozenset({5}), (frozenset({0, 1, 2}),)))
+    # a negative vertex is rejected by the range check, before any shift
+    with pytest.raises(ValueError, match=r"vertex -1 is outside 0\.\.2"):
+        validate_partition(g, CommutingPartition(frozenset({0}), (frozenset({1, -1}),)))
 
 
 def test_empty_parts_rejected_at_construction():
