@@ -124,13 +124,17 @@ def test_random_nb_graph_deterministic_and_pattern_free():
         assert is_nb(g)
 
 
-def test_random_family_round_trips_through_canonical_partition():
+def test_graph_from_family_matches_pair_builder():
     # random_nb_graph builds its rows straight from the labels it draws: the
     # pair builder on the reference draw of the same family gives its graph
-    for n in range(61):
+    assert reference_graph_from_family(0, frozenset(), ()) == random_nb_graph(0, seed=0)
+    for n in range(1, 61):
         for seed in range(5):
             p0, parts = reference_random_partition_family(n, seed * 1000 + n)
             assert random_nb_graph(n, seed * 1000 + n) == reference_graph_from_family(n, p0, parts)
+
+
+def test_random_family_round_trips_through_canonical_partition():
     for seed in range(150):
         n = seed % 11 + 1
         p0, parts = reference_random_partition_family(n, seed)
