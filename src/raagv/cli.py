@@ -70,10 +70,9 @@ def _classify_json(v) -> str:
             "canonical": format_decomposition(v.group),
         }
     else:
-        t = v.witness
         payload = {
             "embeddable": False,
-            "witness": {"edge": [t.a, t.b], "nonadjacent": t.c},
+            "witness": {"edge": [v.a, v.b], "nonadjacent": v.c},
             "partition": None,
             "group": None,
             "canonical": None,
@@ -88,7 +87,7 @@ def _cmd_partition(args, g: Graph, labels: LabelMap, v: Verdict) -> int:
         for k, part in enumerate(v.partition.parts, start=1):
             print(f"P{k} = {_fmt_set(part, labels)}")
         return 0
-    print(_fmt_witness(v.witness, labels))
+    print(_fmt_witness(v, labels))
     return 1
 
 
@@ -108,7 +107,7 @@ def _cmd_decompose(args, g: Graph, labels: LabelMap, v: Verdict) -> int:
         print(format_decomposition(v.group))
     else:
         print("not a direct product of free groups")
-        print(_fmt_witness(v.witness, labels))
+        print(_fmt_witness(v, labels))
     print(f"presentation: {emit_presentation(g)}")
     if not labels.is_default():
         legend = " ".join(f"x{u}={labels.label(u)}" for u in range(g.n))
@@ -128,7 +127,7 @@ def _cmd_word(args, g: Graph, labels: LabelMap, v: Verdict) -> int:
     # "-" alone: one word per line from stdin, read only once the model is built
     ws = _stdin_words(g.n) if args.word == ["-"] else [parse_word(" ".join(args.word), g.n)]
     # group_model raises ValueError on the witness of a graph with the pattern
-    model = group_model(v.partition if isinstance(v, Embeddable) else v.witness)
+    model = group_model(v.partition if isinstance(v, Embeddable) else v)
     heads = [f"part {_fmt_set(part, labels)}: " for part in v.partition.parts]
     for w in ws:
         nf = model.normal_form(w)

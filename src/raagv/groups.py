@@ -4,8 +4,9 @@ A graph with a commuting partition has graph group Z^|p0| x F_|P1| x ... x
 F_|Pk|: the universal vertices generate a central free-abelian factor and
 each part generates a free factor of rank equal to its size.  Every group of
 that shape embeds into Thompson's group V, and the forbidden triple is the
-only obstruction, so ``verdict`` settles embeddability outright and names
-the group in its canonical form, which ``format_decomposition`` renders.
+only obstruction, so ``verdict`` settles embeddability outright: it names
+the group in its canonical form, which ``format_decomposition`` renders, or
+returns the least ``ForbiddenTriple`` as the negative verdict itself.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .classify import canonical_partition
 from .graphs import CommutingPartition, ForbiddenTriple, Graph, _bits
 
 __all__ = (
-    "Embeddable", "GroupDecomposition", "NotEmbeddable", "Verdict", "emit_presentation",
-    "format_decomposition", "verdict",
+    "Embeddable", "GroupDecomposition", "Verdict", "emit_presentation", "format_decomposition",
+    "verdict",
 )
 
 
@@ -56,20 +57,15 @@ class Embeddable:
     group: GroupDecomposition
 
 
-@dataclass(frozen=True)
-class NotEmbeddable:
-    witness: ForbiddenTriple
-
-
-Verdict = Embeddable | NotEmbeddable
+Verdict = Embeddable | ForbiddenTriple
 
 
 def verdict(g: Graph) -> Verdict:
     """Decide whether the graph group of g embeds into Thompson's group V.
 
     Routes through the canonical partition; an Embeddable verdict carries the
-    partition together with the canonical decomposition, a NotEmbeddable one
-    carries the least forbidden triple.
+    partition together with the canonical decomposition, and a negative
+    verdict is the least forbidden triple itself.
     """
     outcome = canonical_partition(g)
     if isinstance(outcome, CommutingPartition):
@@ -77,7 +73,7 @@ def verdict(g: Graph) -> Verdict:
         free = tuple(r for r in ranks if r > 1)
         # F_1 = Z: a one-vertex part (only the one-vertex graph has one) adds to the abelian rank
         return Embeddable(outcome, GroupDecomposition(len(outcome.p0) + len(ranks) - len(free), free))
-    return NotEmbeddable(outcome)
+    return outcome
 
 
 def emit_presentation(g: Graph) -> str:

@@ -6,7 +6,9 @@ graph with at most six vertices and on seeded large graphs on both sides of
 the class boundary.  The one-pass greedy builder returns exactly what the
 two-phase reference (every cut first, then the first failing row) returns.
 The reference greedy builder also runs with seeded random pivot orders,
-which must reach the canonical partition or a witness.
+which must reach the canonical partition or a witness.  On every graph with
+at most six vertices, ``verdict`` is the canonical partition's forbidden
+triple itself, or an ``Embeddable`` that carries its partition.
 """
 
 import random
@@ -16,6 +18,7 @@ import pytest
 
 from raagv import (
     CommutingPartition,
+    Embeddable,
     ForbiddenTriple,
     Graph,
     MissingCrossEdge,
@@ -25,6 +28,7 @@ from raagv import (
     recognize_multipartite,
     universal_vertices,
     validate_partition,
+    verdict,
 )
 from raagv.harness import enumerate_graphs, random_graph, random_nb_graph
 
@@ -54,6 +58,12 @@ def test_agreement_on_every_graph_up_to_six_vertices():
     for n in range(7):
         for g in enumerate_graphs(n):
             assert_agree(g)
+            # a negative verdict is the canonical partition's triple itself
+            outcome, v = canonical_partition(g), verdict(g)
+            if isinstance(outcome, ForbiddenTriple):
+                assert v == outcome
+            else:
+                assert isinstance(v, Embeddable) and v.partition == outcome
 
 
 def assert_any_pivot_order_works(g: Graph, seed: int) -> None:

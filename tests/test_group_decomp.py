@@ -9,7 +9,6 @@ from raagv import (
     Embeddable,
     ForbiddenTriple,
     GroupDecomposition,
-    NotEmbeddable,
     canonical_partition,
     emit_presentation,
     format_decomposition,
@@ -92,12 +91,11 @@ def test_invalid_ranks_rejected():
 
 def test_verdict_on_obstruction():
     v = verdict(forbidden_pattern_graph())
-    assert isinstance(v, NotEmbeddable)
-    assert v.witness == ForbiddenTriple(0, 1, 2)
+    assert v == ForbiddenTriple(0, 1, 2)
 
 
 def test_verdict_on_pentagon():
-    assert isinstance(verdict(cycle_graph(5)), NotEmbeddable)
+    assert isinstance(verdict(cycle_graph(5)), ForbiddenTriple)
 
 
 def test_verdict_complete_graphs_are_free_abelian():

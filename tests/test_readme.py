@@ -1,13 +1,15 @@
-"""The README's shell examples run as written.
+"""The README's shell and Python examples run as written.
 
 Each ``$ cat FILE`` in a code block shows a file, which the tests write out;
 each ``$ raagv ...`` line that shows output is run through ``cli.main`` in
 that directory, and its stdout followed by its stderr must be the lines the
 README shows under it.  A ``printf ... |`` in front of the command becomes
-its stdin.
+its stdin.  The ``python`` blocks run in order in one namespace, and each
+line a ``print`` writes must begin the comment on that ``print``'s line.
 """
 
 import io
+import re
 import shlex
 from pathlib import Path
 
@@ -67,3 +69,22 @@ def test_readme_command_prints_what_it_shows(tmp_path, capsys, monkeypatch, comm
     main(argv[1:])
     out, err = capsys.readouterr()
     assert out + err == shown
+
+
+def python_examples() -> list[str]:
+    """The README's ``python`` code blocks, in order."""
+    return re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_readme_python_examples_print_what_they_show(capsys):
+    blocks = python_examples()
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        # a later block uses the names an earlier one binds
+        exec(block, namespace)
+        shown = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == len(shown)
+        for out, comment in zip(printed, shown):
+            assert comment.startswith(out)
