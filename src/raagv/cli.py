@@ -34,16 +34,15 @@ from .words import format_word, group_model, parse_word
 
 
 def _load_graph(path: str, fmt: str) -> tuple[Graph, LabelMap]:
-    if fmt == "graph6":
-        # read as text mode and str.strip read ASCII: CR is a newline, space goes from the ends
-        with open(path, "rb") as fh:
-            data = fh.read().replace(b"\r", b"\n").strip(b"\t\n\v\f\x1c\x1d\x1e\x1f ")
-        # the spec's optional header, with no end of line after it
-        g = parse_graph6(data.removeprefix(b">>graph6<<"))
-        return g, LabelMap.default(g.n)
-    # utf-8-sig drops a byte-order mark that some editors write at the start
-    with open(path, encoding="utf-8-sig") as fh:
-        return parse_edge_list(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if fmt == "edgelist":  # utf-8-sig drops a leading byte-order mark; the parser owns line ends
+        data = data.decode("utf-8-sig")  # rebound, so the bytes are freed before the parse
+        return parse_edge_list(data)
+    # CR is a newline and ASCII space goes from the ends, as in text mode; then the spec's header
+    data = data.replace(b"\r", b"\n").strip(b"\t\n\v\f\x1c\x1d\x1e\x1f ")
+    g = parse_graph6(data.removeprefix(b">>graph6<<"))
+    return g, LabelMap.default(g.n)
 
 
 def _fmt_set(vertices, labels: LabelMap) -> str:

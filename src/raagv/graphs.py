@@ -19,20 +19,27 @@ validator and both word solvers share.
 its instance ``__dict__`` by item assignment in a hand-written ``__init__``:
 a frozen dataclass's generated one calls ``object.__setattr__`` per field,
 which took twice as long, and ``dict.update`` would build a keyword dict per
-call and unshare the instance dict's keys.  Equality, hashing, ``repr``,
-``replace`` and pickling stay the generated ones, and the ``__dict__`` still
-holds per-object caches such as the word model of :mod:`raagv.words`.
+call and unshare the instance dict's keys.  Equality, hashing, ``repr`` and
+``replace`` stay the generated ones.  The ``__dict__`` also keeps per-object
+compiles, such as the word model of :mod:`raagv.words`; ``__getstate__``
+hands ``pickle`` and ``copy`` the fields alone, so equal objects pickle alike
+and a copy compiles afresh on first use.
 :class:`ForbiddenTriple`, built at most once per decision, keeps the
 generated ``__init__`` and checks its fields in ``__post_init__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import compress
 from typing import Iterable
 
 __all__ = ("CommutingPartition", "ForbiddenTriple", "Graph", "new_graph", "universal_vertices")
+
+
+def _fields_state(self) -> dict:
+    """The dataclass fields, without any compile kept in the instance dict."""
+    return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True, init=False)
@@ -51,6 +58,8 @@ class Graph:
         fields["n"] = n
         fields["adj"] = adj
 
+    __getstate__ = _fields_state
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
@@ -65,6 +74,8 @@ class CommutingPartition:
 
     p0: frozenset[int]
     parts: tuple[frozenset[int], ...]
+
+    __getstate__ = _fields_state  # leaves out the matrix oracle's table
 
     def __post_init__(self) -> None:
         if not all(self.parts):

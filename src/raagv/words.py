@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .classify import canonical_partition
 from .graphio import _SIGNED_INT, _echo
-from .graphs import CommutingPartition, ForbiddenTriple, Graph, _block_masks
+from .graphs import CommutingPartition, ForbiddenTriple, Graph, _block_masks, _fields_state
 
 __all__ = (
     "GroupModel", "Letter", "NormalForm", "Word", "format_word", "group_model", "is_trivial",
@@ -68,6 +68,8 @@ class GroupModel:
     owner: tuple[int, ...]
     p0: tuple[int, ...]
     part_count: int
+
+    __getstate__ = _fields_state  # leaves out the letter table
 
     def normal_form(self, w: Word) -> NormalForm:
         """Normal form of w; raises ValueError at the first letter that is no

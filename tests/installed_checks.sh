@@ -31,13 +31,16 @@ raagv word g.g6 --format graph6 - < words.txt > g6.words
 cmp el.words g6.words
 echo "8d18ebeea9d03bd344a1273324b754a0070d93ddb9cc09817f765642d099bb23  el.words" | sha256sum --check --strict -
 # the edge-list parser splits g.el's chunks whole, reads the chunks of an indented copy
-# and the one that holds a comment line mid-body line by line, and reads a CR LF copy,
-# in text mode, as g.el; all five must print the same
+# and the one that holds a comment line mid-body line by line, and ends lines at CR LF
+# and at CR alone as at LF; the byte-order mark of a BOM copy is dropped as the file is
+# decoded; all seven files must print the same
 sed 's/^/ /' g.el > indented.el
 { echo '# comment'; cat g.el; } > commented.el
 sed '200i # mid' g.el > midcomment.el
 sed 's/$/\r/' g.el > crlf.el
-for f in indented commented midcomment crlf; do
+tr '\n' '\r' < g.el > cr.el
+{ printf '\357\273\277'; cat g.el; } > bom.el
+for f in indented commented midcomment crlf cr bom; do
   raagv classify "$f.el" --json > "$f.json"
   cmp el.json "$f.json"
   raagv partition "$f.el" > "$f.part"

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 import random
@@ -6,15 +7,20 @@ import pytest
 from hypothesis import given
 
 from raagv import (
+    CommutingPartition,
     ForbiddenTriple,
     Graph,
+    GroupModel,
     Letter,
+    canonical_partition,
+    group_model,
     new_graph,
     normal_form,
     universal_vertices,
 )
 from raagv.graphs import _bits
-from raagv.harness import random_graph
+from raagv.harness import random_graph, random_nb_graph
+from raagv.matrixrep import evaluate_word
 
 from helpers import (
     complement,
@@ -28,6 +34,7 @@ from helpers import (
     graphs,
     is_clique,
     path_graph,
+    random_word,
     reference_bits,
     reference_edges,
     slow_eccentricity,
@@ -44,6 +51,8 @@ def test_new_graph_rejects_out_of_range():
         new_graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         new_graph(2, [(-1, 0)])
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        new_graph(-1, [])
 
 
 def test_new_graph_collapses_duplicates():
@@ -99,6 +108,27 @@ def test_word_model_cache_lives_in_the_graph_dict():
     model = vars(g)["_word_model"]
     assert normal_form(g, w) == first and vars(g)["_word_model"] is model
     assert g == new_graph(3, [(0, 1), (0, 2)]) and hash(g) == hash(Graph(3, g.adj))
+
+
+def test_kept_compiles_stay_out_of_pickles_and_copies():
+    g = random_nb_graph(60, seed=1)
+    p = canonical_partition(g)
+    model = group_model(p)
+    rng = random.Random(4)
+    ws = [random_word(rng, g.n, k) for k in (0, 3, 40)]
+    solved = [(normal_form(g, w), evaluate_word(p, w), model.normal_form(w)) for w in ws]
+    fresh = (
+        Graph(g.n, g.adj),
+        CommutingPartition(p.p0, p.parts),
+        GroupModel(model.owner, model.p0, model.part_count),
+    )
+    for value, new in zip((g, p, model), fresh):
+        assert len(vars(value)) == len(vars(new)) + 1  # the compile is kept
+        assert pickle.dumps(value) == pickle.dumps(new)
+        for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert vars(copied) == vars(new)
+    g2, p2, model2 = (pickle.loads(pickle.dumps(value)) for value in (g, p, model))
+    assert [(normal_form(g2, w), evaluate_word(p2, w), model2.normal_form(w)) for w in ws] == solved
 
 
 def test_eccentricity_path():

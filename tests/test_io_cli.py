@@ -555,6 +555,28 @@ def test_cli_reads_an_edge_list_saved_with_a_byte_order_mark(tmp_path, capsys, t
         assert capsys.readouterr() == printed
 
 
+FAR_EDGES = b"n 3\n" + b"e 0 1\n" * 2000  # 12,004 bytes
+
+
+@pytest.mark.parametrize(
+    "raw, err",
+    [
+        (b"n 3\ne 0 \xff1\ne 1 2\n", "byte 0xff in position 8: invalid start byte"),
+        (b"\xef\xbb\xbfn 3\ne \xfe 1\n", "byte 0xfe in position 6: invalid start byte"),
+        (FAR_EDGES[:10001] + b"\x80" + FAR_EDGES[10001:], "byte 0x80 in position 10001: invalid start byte"),
+        ("n 2\ne é x\ne x é".encode()[:-1], "byte 0xc3 in position 15: unexpected end of data"),
+    ],
+    ids=["line-2", "after-a-byte-order-mark", "past-8-KiB", "truncated-at-the-end"],
+)
+def test_cli_edge_list_that_is_not_utf8_exits_2(tmp_path, capsys, raw, err):
+    # the position counts bytes from the start of the file, after a byte-order mark
+    path = tmp_path / "bad.el"
+    path.write_bytes(raw)
+    for command, *rest in (["classify"], ["partition"], ["decompose"], ["word", "1"]):
+        assert main([command, str(path), *rest]) == 2
+        assert capsys.readouterr() == ("", f"error: 'utf-8' codec can't decode {err}\n")
+
+
 
 @pytest.mark.parametrize(
     "text, line",
