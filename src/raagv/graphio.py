@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import base64
 import re
-from dataclasses import dataclass
 
-from .graphs import CommutingPartition, Graph, _bits
+from .graphs import CommutingPartition, Graph, _bits, _Record
 
 __all__ = (
     "LabelMap", "ParseError", "emit_dot", "emit_edge_list", "emit_graph6", "parse_edge_list",
@@ -64,8 +63,7 @@ class ParseError(ValueError):
     """Malformed input; the message carries the offending line number."""
 
 
-@dataclass(frozen=True)
-class LabelMap:
+class LabelMap(_Record):
     """Vertex index -> external label.  Labels are unique, nonempty and free
     of whitespace and of ``#``, which would start a comment in the edge list;
     the default map labels vertex v with str(v)."""
@@ -97,7 +95,7 @@ def _default_map(labels: tuple[str, ...]) -> LabelMap:
     nonempty and free of whitespace and ``#`` by construction, so the
     per-label checks of ``__post_init__`` are skipped."""
     m = object.__new__(LabelMap)
-    object.__setattr__(m, "labels", labels)
+    vars(m)["labels"] = labels
     return m
 
 

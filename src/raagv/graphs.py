@@ -15,35 +15,84 @@ pattern and :class:`ForbiddenTriple` for one that does not.  So does the
 check that a partition's blocks partition the vertices, which the partition
 validator and both word solvers share.
 
-:class:`Graph` is built once per graph of an exhaustive sweep, so it fills
-its instance ``__dict__`` by item assignment in a hand-written ``__init__``:
-a frozen dataclass's generated one calls ``object.__setattr__`` per field,
-which took twice as long, and ``dict.update`` would build a keyword dict per
-call and unshare the instance dict's keys.  Equality, hashing, ``repr`` and
-``replace`` stay the generated ones.  The ``__dict__`` also keeps per-object
-compiles, such as the word model of :mod:`raagv.words`; ``__getstate__``
-hands ``pickle`` and ``copy`` the fields alone, so equal objects pickle alike
-and a copy compiles afresh on first use.
-:class:`ForbiddenTriple`, built at most once per decision, keeps the
-generated ``__init__`` and checks its fields in ``__post_init__``.
+The package's value types derive from :class:`_Record`, one immutable
+record base written out here, so that importing the package neither loads
+``dataclasses`` (and with it ``inspect``) nor runs generated code.  A
+record's fields are its class's own annotations, in order; equality and
+hashing go by the tuple of field values, ``repr`` is ``Name(field=value,
+...)``, and setting or deleting an attribute raises AttributeError.  The
+base's ``__init__`` takes the fields by position or keyword and then calls
+``__post_init__``, where the checked records validate them.  The records
+built once per graph of an exhaustive sweep, :class:`Graph` and (where the
+sweep calls the public deciders) :class:`ForbiddenTriple`, and the two
+per-word results of :mod:`raagv.words` and :mod:`raagv.matrixrep` write
+their own ``__init__`` instead: it fills the instance ``__dict__`` by item
+assignment, in about 0.6 of the generic one's time and 0.8 of a frozen
+dataclass's.  A field-less subclass keeps its base's fields.  The
+``__dict__`` also keeps per-object compiles, such as the word model of
+:mod:`raagv.words`; ``__getstate__`` hands ``pickle`` and ``copy`` the
+fields alone, so equal records pickle alike and a copy compiles afresh on
+first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from itertools import compress
+from operator import attrgetter
 from typing import Iterable
 
 __all__ = ("CommutingPartition", "ForbiddenTriple", "Graph", "new_graph", "universal_vertices")
 
 
-def _fields_state(self) -> dict:
-    """The dataclass fields, without any compile kept in the instance dict."""
-    return {f.name: getattr(self, f.name) for f in fields(self)}
+class _Record:
+    """Base of the immutable value types; see the module docstring."""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__annotations__)
+        if names:  # else a subclass keeps its base's fields
+            cls._fields = cls.__match_args__ = names
+            get = attrgetter(*names)  # the tuple of the values, or one field's value alone
+            cls._values = staticmethod(get if len(names) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        if kwargs or len(args) != len(names):  # the fields after the positional ones by keyword
+            rest = names[len(args):]
+            if len(args) > len(names) or kwargs.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+            args = (*args, *map(kwargs.__getitem__, rest))
+        fields = self.__dict__
+        for name, value in zip(names, args):
+            fields[name] = value
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the fields once they are set; the base takes any."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> dict:
+        return dict(zip(self._fields, self._values(self)))
 
 
-@dataclass(frozen=True, init=False)
-class Graph:
+class Graph(_Record):
     """A finite simple graph: undirected, no loops, no multi-edges.
 
     Build through :func:`new_graph`, which validates its input; the raw
@@ -58,14 +107,14 @@ class Graph:
         fields["n"] = n
         fields["adj"] = adj
 
-    __getstate__ = _fields_state
-
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether u and v are joined; both must lie in 0..n-1, which is not
+        checked: a negative u reads a row from the end, a negative v raises
+        ValueError, and a v of n or more reads False."""
         return bool(self.adj[u] >> v & 1)
 
 
-@dataclass(frozen=True)
-class CommutingPartition:
+class CommutingPartition(_Record):
     """Block structure: p0 plus nonempty parts.
 
     Two partitions describe the same block structure exactly when their p0
@@ -74,8 +123,6 @@ class CommutingPartition:
 
     p0: frozenset[int]
     parts: tuple[frozenset[int], ...]
-
-    __getstate__ = _fields_state  # leaves out the matrix oracle's table
 
     def __post_init__(self) -> None:
         if not all(self.parts):
@@ -86,8 +133,7 @@ class CommutingPartition:
         return (self.p0, *self.parts)
 
 
-@dataclass(frozen=True)
-class ForbiddenTriple:
+class ForbiddenTriple(_Record):
     """Witness (a, b, c): (a, b) is an edge and c is adjacent to neither.
 
     Normalized so that a < b; c is unconstrained apart from distinctness.
@@ -97,6 +143,13 @@ class ForbiddenTriple:
     b: int
     c: int
 
+    def __init__(self, a: int, b: int, c: int) -> None:
+        fields = self.__dict__  # one per negative decision: per graph in a sweep of the public deciders
+        fields["a"] = a
+        fields["b"] = b
+        fields["c"] = c
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         a, b, c = self.a, self.b, self.c
         if a == b or c == a or c == b:
@@ -105,11 +158,12 @@ class ForbiddenTriple:
             raise ValueError("witness edge must be normalized with a < b")
 
     def holds_in(self, g: Graph) -> bool:
-        """True iff this triple actually certifies g."""
+        """True iff this triple actually certifies g: its vertices lie in
+        0..n-1, (a, b) is an edge and c is adjacent to neither."""
+        a, b, c, n = self.a, self.b, self.c, g.n
         return (
-            g.has_edge(self.a, self.b)
-            and not g.has_edge(self.a, self.c)
-            and not g.has_edge(self.b, self.c)
+            0 <= a < n and 0 <= b < n and 0 <= c < n
+            and g.has_edge(a, b) and not g.has_edge(a, c) and not g.has_edge(b, c)
         )
 
 

@@ -11,10 +11,8 @@ returns the least ``ForbiddenTriple`` as the negative verdict itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classify import canonical_partition
-from .graphs import CommutingPartition, ForbiddenTriple, Graph, _bits
+from .graphs import CommutingPartition, ForbiddenTriple, Graph, _bits, _Record
 
 __all__ = (
     "Embeddable", "GroupDecomposition", "Verdict", "emit_presentation", "format_decomposition",
@@ -22,8 +20,7 @@ __all__ = (
 )
 
 
-@dataclass(frozen=True)
-class GroupDecomposition:
+class GroupDecomposition(_Record):
     """Rank data for Z^abelian_rank x F_r1 x F_r2 x ...
 
     ``verdict`` builds it in canonical form: F_1 = Z is folded into the
@@ -51,8 +48,9 @@ def format_decomposition(d: GroupDecomposition) -> str:
     return " x ".join(pieces) if pieces else "1"
 
 
-@dataclass(frozen=True)
-class Embeddable:
+class Embeddable(_Record):
+    """A positive verdict: the commuting partition and the group it names."""
+
     partition: CommutingPartition
     group: GroupDecomposition
 

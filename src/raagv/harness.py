@@ -15,12 +15,11 @@ are deterministic in their seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
 from .classify import _least_triple, _twin_blocks
-from .graphs import Graph, new_graph
+from .graphs import Graph, _Record, new_graph
 from .partition import _greedy_cuts
 
 __all__ = (
@@ -58,8 +57,7 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
             yield Graph(n, tuple((high | lo).to_bytes(n, "little")))
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(_Record):
     """One graph on which the three deciders disagreed, by enumeration code."""
 
     code: int
@@ -68,8 +66,9 @@ class Mismatch:
     multipartite_ok: bool
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(_Record):
+    """The counts of one order's sweep and the graphs it found the deciders disagree on."""
+
     n: int
     total_graphs: int
     nb_count: int

@@ -25,10 +25,9 @@ used to cross-check; only the raw letters and the partition go in.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import islice, zip_longest
 
-from .graphs import CommutingPartition, _block_masks
+from .graphs import CommutingPartition, _block_masks, _Record
 from .words import Word
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
@@ -38,12 +37,18 @@ IDENTITY: Matrix = ((1, 0), (0, 1))
 _RUN = 16  # letters folded into one product before the tree; 8 to 32 measured the same
 
 
-@dataclass(frozen=True)
-class MatrixImage:
+class MatrixImage(_Record):
     """Image of a word: p0 exponents (vertex ascending) and one matrix per part."""
 
     exponents: tuple[tuple[int, int], ...]
     part_matrices: tuple[Matrix, ...]
+
+    def __init__(
+        self, exponents: tuple[tuple[int, int], ...], part_matrices: tuple[Matrix, ...]
+    ) -> None:
+        fields = self.__dict__  # one per word: see the graphs module on why by hand
+        fields["exponents"] = exponents
+        fields["part_matrices"] = part_matrices
 
     @property
     def is_identity(self) -> bool:

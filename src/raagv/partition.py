@@ -26,11 +26,10 @@ and is bound here only under the name the benchmark traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classify import canonical_partition  # the benchmark traces it by this name
 from .graphs import (
-    CommutingPartition, ForbiddenTriple, Graph, _bits, _block_masks, _low, _universal_mask,
+    CommutingPartition, ForbiddenTriple, Graph, _Record, _bits, _block_masks, _low,
+    _universal_mask,
 )
 
 __all__ = (
@@ -39,8 +38,7 @@ __all__ = (
 )
 
 
-@dataclass(frozen=True)
-class InternalEdge:
+class InternalEdge(_Record):
     """Edge (u, v) inside part number ``part`` (1-based; p0 is block 0)."""
 
     u: int
@@ -48,8 +46,7 @@ class InternalEdge:
     part: int
 
 
-@dataclass(frozen=True)
-class MissingCrossEdge:
+class MissingCrossEdge(_Record):
     """Non-adjacent pair u in block i, v in block j, ``blocks`` = (i, j), i < j."""
 
     u: int
@@ -57,8 +54,7 @@ class MissingCrossEdge:
     blocks: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class WrongP0:
+class WrongP0(_Record):
     """Vertex whose p0 membership disagrees with the eccentricity-one set."""
 
     vertex: int

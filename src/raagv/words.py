@@ -17,12 +17,11 @@ triple) once and keeps it on that object, so it lives as long as the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .classify import canonical_partition
 from .graphio import _SIGNED_INT, _echo
-from .graphs import CommutingPartition, ForbiddenTriple, Graph, _block_masks, _fields_state
+from .graphs import CommutingPartition, ForbiddenTriple, Graph, _block_masks, _Record
 
 __all__ = (
     "GroupModel", "Letter", "NormalForm", "Word", "format_word", "group_model", "is_trivial",
@@ -40,8 +39,7 @@ class Letter(NamedTuple):
 Word = tuple[Letter, ...]
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(_Record):
     """Coordinates of a word in Z^|p0| x F_|P1| x ... x F_|Pk|.
 
     ``abelian_exponents`` lists (vertex, net exponent) for every p0 vertex in
@@ -52,13 +50,19 @@ class NormalForm:
     abelian_exponents: tuple[tuple[int, int], ...]
     part_words: tuple[Word, ...]
 
+    def __init__(
+        self, abelian_exponents: tuple[tuple[int, int], ...], part_words: tuple[Word, ...]
+    ) -> None:
+        fields = self.__dict__  # one per word: see the graphs module on why by hand
+        fields["abelian_exponents"] = abelian_exponents
+        fields["part_words"] = part_words
+
     @property
     def is_identity(self) -> bool:
         return all(e == 0 for _, e in self.abelian_exponents) and not any(self.part_words)
 
 
-@dataclass(frozen=True)
-class GroupModel:
+class GroupModel(_Record):
     """Z^|p0| x F_|P1| x ... x F_|Pk| of a commuting partition of 0..n-1.
 
     ``owner[v]`` is the index of v's part in the partition's part order, or
@@ -68,8 +72,6 @@ class GroupModel:
     owner: tuple[int, ...]
     p0: tuple[int, ...]
     part_count: int
-
-    __getstate__ = _fields_state  # leaves out the letter table
 
     def normal_form(self, w: Word) -> NormalForm:
         """Normal form of w; raises ValueError at the first letter that is no

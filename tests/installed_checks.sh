@@ -100,6 +100,9 @@ cmp plain.el nb.el
 # Bell numbers pattern-free and partitionable, no mismatch
 raagv enumerate --max-n 6 --json > enum.json
 python -c 'import json; r = json.load(open("enum.json")); bell = [1, 2, 5, 15, 52, 203]; assert [x["nb_count"] for x in r] == [x["gp_count"] for x in r] == bell and all(x["mismatches"] == [] for x in r), r'
+# the reports of n <= 5 print field by field the bytes that dataclasses.asdict gave them
+raagv enumerate --max-n 5 --json > enum5.json
+echo "4b596f6059e81e5bcb942d229da86fb12dfb4c85c5f5f8f017319e7ee28cb9b3  enum5.json" | sha256sum --check --strict -
 # the counts above cannot see order or packing: pin the adjacency tuples of those
 # graphs, in enumeration order, to the hash they had before rows were packed in bytes
 python -c 'import hashlib, raagv; h = hashlib.sha256("\n".join(repr(g.adj) for n in range(7) for g in raagv.enumerate_graphs(n)).encode()).hexdigest(); assert h == "bfcd917ba84016a0f0a4a4321f9c1cf468198acf4e7819d1d0adceb986390116", h'

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 import random
 
@@ -8,10 +7,19 @@ from hypothesis import given
 
 from raagv import (
     CommutingPartition,
+    CrossCheckReport,
+    Embeddable,
     ForbiddenTriple,
     Graph,
+    GroupDecomposition,
     GroupModel,
+    InternalEdge,
+    LabelMap,
     Letter,
+    Mismatch,
+    MissingCrossEdge,
+    NormalForm,
+    WrongP0,
     canonical_partition,
     group_model,
     new_graph,
@@ -20,7 +28,7 @@ from raagv import (
 )
 from raagv.graphs import _bits
 from raagv.harness import random_graph, random_nb_graph
-from raagv.matrixrep import evaluate_word
+from raagv.matrixrep import MatrixImage, evaluate_word
 
 from helpers import (
     complement,
@@ -61,43 +69,112 @@ def test_new_graph_collapses_duplicates():
     assert list(graph_edges(g)) == [(0, 1)]
 
 
-def test_graph_is_immutable():
-    g = new_graph(2, [(0, 1)])
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        g.n = 5
+_PARTITION = CommutingPartition(frozenset({0}), (frozenset({1, 2}),))
+_MISMATCH = Mismatch(5, True, False, True)
 
 
-# Graph writes its fields straight into the instance dict; everything else
-# about it, and all of ForbiddenTriple, must stay the generated dataclass code.
-@pytest.mark.parametrize(
-    "value, fields, text",
-    [
-        (Graph(3, (2, 1, 0)), {"n": 3, "adj": (2, 1, 0)}, "Graph(n=3, adj=(2, 1, 0))"),
-        (ForbiddenTriple(0, 2, 1), {"a": 0, "b": 2, "c": 1}, "ForbiddenTriple(a=0, b=2, c=1)"),
-    ],
-    ids=["Graph", "ForbiddenTriple"],
-)
-def test_result_constructors_keep_dataclass_behaviour(value, fields, text):
-    by_keywords = type(value)(**fields)
-    assert value == by_keywords and hash(value) == hash(by_keywords)
-    assert dataclasses.asdict(value) == fields
-    assert repr(value) == text
+# Each value type: its fields in order, the repr they give, and for the four
+# checked types, fields that fail the check with the check's message.
+RECORDS = [
+    (Graph, {"n": 3, "adj": (2, 1, 0)}, "Graph(n=3, adj=(2, 1, 0))", None),
+    (
+        CommutingPartition, {"p0": frozenset({0}), "parts": (frozenset({1, 2}),)},
+        "CommutingPartition(p0=frozenset({0}), parts=(frozenset({1, 2}),))",
+        ({"parts": (frozenset(),)}, "parts must be nonempty"),
+    ),
+    (
+        ForbiddenTriple, {"a": 0, "b": 2, "c": 1}, "ForbiddenTriple(a=0, b=2, c=1)",
+        ({"a": 3}, "normalized with a < b"),
+    ),
+    (LabelMap, {"labels": ("a", "b")}, "LabelMap(labels=('a', 'b'))", ({"labels": ("a", "a")}, "unique")),
+    (
+        GroupDecomposition, {"abelian_rank": 1, "free_ranks": (3, 2)},
+        "GroupDecomposition(abelian_rank=1, free_ranks=(3, 2))",
+        ({"abelian_rank": -1}, "nonnegative"),
+    ),
+    (
+        Embeddable, {"partition": _PARTITION, "group": GroupDecomposition(1, (2,))},
+        f"Embeddable(partition={_PARTITION!r}, group=GroupDecomposition(abelian_rank=1, free_ranks=(2,)))",
+        None,
+    ),
+    (InternalEdge, {"u": 1, "v": 2, "part": 1}, "InternalEdge(u=1, v=2, part=1)", None),
+    (
+        MissingCrossEdge, {"u": 0, "v": 3, "blocks": (1, 2)},
+        "MissingCrossEdge(u=0, v=3, blocks=(1, 2))", None,
+    ),
+    (WrongP0, {"vertex": 3, "should_be_in_p0": True}, "WrongP0(vertex=3, should_be_in_p0=True)", None),
+    (
+        Mismatch, {"code": 5, "triple_free": True, "greedy_ok": False, "multipartite_ok": True},
+        "Mismatch(code=5, triple_free=True, greedy_ok=False, multipartite_ok=True)", None,
+    ),
+    (
+        CrossCheckReport,
+        {"n": 3, "total_graphs": 8, "nb_count": 5, "gp_count": 5, "mismatches": (_MISMATCH,)},
+        f"CrossCheckReport(n=3, total_graphs=8, nb_count=5, gp_count=5, mismatches=({_MISMATCH!r},))",
+        None,
+    ),
+    (
+        NormalForm, {"abelian_exponents": ((0, 1),), "part_words": ((Letter(1, 1),), ())},
+        "NormalForm(abelian_exponents=((0, 1),), part_words=((Letter(vertex=1, sign=1),), ()))",
+        None,
+    ),
+    (
+        GroupModel, {"owner": (-1, 0, 0), "p0": (0,), "part_count": 1},
+        "GroupModel(owner=(-1, 0, 0), p0=(0,), part_count=1)", None,
+    ),
+    (
+        MatrixImage, {"exponents": ((0, -2),), "part_matrices": (((1, 2), (0, 1)),)},
+        "MatrixImage(exponents=((0, -2),), part_matrices=(((1, 2), (0, 1)),))", None,
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text, invalid", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_contract(cls, fields, text, invalid):
+    value = cls(*fields.values())
+    first, *rest = fields.items()  # the first field by position, the others by keyword
+    assert value == cls(**fields) == cls(first[1], **dict(rest))
+    assert vars(value) == fields and list(vars(value)) == list(fields)
+    # the hash of the field tuple, as a frozen dataclass has it, so set and dict order stay
+    assert hash(value) == hash(cls(**fields)) == hash(tuple(fields.values()))
+    assert value != tuple(fields.values())
+    assert repr(value) == text and cls.__match_args__ == tuple(fields)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), 0)
+    with pytest.raises(TypeError):
+        cls(**fields, extra=0)
     for name in fields:
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(value, name, 5)
-    assert dataclasses.replace(value) == value
-    copy = pickle.loads(pickle.dumps(value))
-    assert copy == value and hash(copy) == hash(value)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.other = 5
+    assert vars(value) == fields
+    copies = [pickle.loads(pickle.dumps(value, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in (*copies, copy.copy(value), copy.deepcopy(value)):
+        assert type(copied) is cls and copied == value and hash(copied) == hash(value)
+        assert vars(copied) == fields
+    if invalid is not None:  # the check runs for fields given by keyword or by position
+        bad, message = invalid
+        with pytest.raises(ValueError, match=message):
+            cls(**{**fields, **bad})
+        with pytest.raises(ValueError, match=message):
+            cls(*{**fields, **bad}.values())
 
 
-def test_triple_replace_revalidates():
-    t = ForbiddenTriple(0, 2, 1)
-    with pytest.raises(ValueError, match="pairwise distinct"):
-        dataclasses.replace(t, a=t.b)
-    with pytest.raises(ValueError, match="normalized with a < b"):
-        dataclasses.replace(t, a=3)
-    assert dataclasses.replace(t, c=3) == ForbiddenTriple(0, 2, 3)
-    assert dataclasses.replace(new_graph(2, []), adj=(2, 1)) == new_graph(2, [(0, 1)])
+@pytest.mark.parametrize(
+    "triple, g",
+    [
+        (ForbiddenTriple(0, 1, 5), new_graph(2, [(0, 1)])),
+        (ForbiddenTriple(-1, 2, 0), new_graph(4, [(0, 1), (2, 3)])),  # row -1 would read row 3
+        (ForbiddenTriple(0, 1, -1), new_graph(4, [(0, 1), (2, 3)])),  # a negative shift would raise
+        (ForbiddenTriple(0, 4, 2), new_graph(4, [(0, 1), (2, 3)])),
+    ],
+    ids=["c-past-n", "negative-a", "negative-c", "b-past-n"],
+)
+def test_triple_outside_the_graph_certifies_nothing(triple, g):
+    assert not triple.holds_in(g)
 
 
 def test_word_model_cache_lives_in_the_graph_dict():

@@ -23,7 +23,9 @@ from raagv import (
 from raagv import cli
 from raagv.cli import main
 from raagv.graphio import MAX_VERTICES
-from raagv.harness import MAX_ENUMERATION_N, enumerate_graphs, random_graph, random_nb_graph
+from raagv.harness import (
+    MAX_ENUMERATION_N, CrossCheckReport, Mismatch, enumerate_graphs, random_graph, random_nb_graph,
+)
 from raagv.partition import CommutingPartition
 
 from helpers import (
@@ -725,6 +727,25 @@ def test_cli_enumerate_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [r["nb_count"] for r in payload] == [1, 2, 5]
     assert all(r["mismatches"] == [] for r in payload)
+
+
+def test_cli_enumerate_json_golden(capsys):
+    assert main(["enumerate", "--max-n", "3", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '[{"n": 1, "total_graphs": 1, "nb_count": 1, "gp_count": 1, "mismatches": []}, '
+        '{"n": 2, "total_graphs": 2, "nb_count": 2, "gp_count": 2, "mismatches": []}, '
+        '{"n": 3, "total_graphs": 8, "nb_count": 5, "gp_count": 5, "mismatches": []}]\n'
+    )
+
+
+def test_cli_enumerate_json_prints_a_mismatch_field_by_field(capsys, monkeypatch):
+    report = CrossCheckReport(1, 2, 1, 1, (Mismatch(1, True, False, True),))
+    monkeypatch.setattr(cli, "cross_check", lambda n: report)
+    assert main(["enumerate", "--max-n", "1", "--json"]) == 1
+    assert capsys.readouterr().out == (
+        '[{"n": 1, "total_graphs": 2, "nb_count": 1, "gp_count": 1, "mismatches": '
+        '[{"code": 1, "triple_free": true, "greedy_ok": false, "multipartite_ok": true}]}]\n'
+    )
 
 
 def test_cli_enumerate_past_the_cap_fails_before_any_sweep(capsys, monkeypatch):

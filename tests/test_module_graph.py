@@ -10,9 +10,14 @@ every position in each file, so a late or conditional import counts too.
 Each module that ``raagv`` re-exports lists the public names it defines in
 its own ``__all__``; ``raagv/__init__.py`` star-imports those modules and
 joins their lists, so every public name is declared once, where it lives.
+A child process checks that importing the CLI loads neither ``dataclasses``
+nor ``inspect``, which made up a large share of its cold start.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from functools import cache
 from pathlib import Path
 
@@ -159,3 +164,13 @@ def test_init_imports_only_modules_and_star():
             assert names == ["*"] or set(names) <= set(modules()), f"line {node.lineno}: {names}"
         else:
             assert not isinstance(node, ast.Import), f"line {node.lineno}"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the value types derive from graphs._Record, so a cold start of the CLI
+    # pays for neither module; -S keeps site's own imports out of the count
+    src = str(Path(raagv.__file__).parent.parent)
+    probe = "import raagv.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
