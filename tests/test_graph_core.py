@@ -163,6 +163,47 @@ def test_record_contract(cls, fields, text, invalid):
             cls(*{**fields, **bad}.values())
 
 
+def test_graph_is_immutable():
+    g = new_graph(2, [(0, 1)])
+    with pytest.raises(AttributeError, match="^cannot assign to field 'n'$"):
+        g.n = 5
+    assert g == new_graph(2, [(0, 1)])
+
+
+# Graph, ForbiddenTriple, NormalForm and MatrixImage have hand-written
+# constructors; the first two keep what they had as frozen dataclasses.
+@pytest.mark.parametrize(
+    "value, fields, text",
+    [
+        (Graph(3, (2, 1, 0)), {"n": 3, "adj": (2, 1, 0)}, "Graph(n=3, adj=(2, 1, 0))"),
+        (ForbiddenTriple(0, 2, 1), {"a": 0, "b": 2, "c": 1}, "ForbiddenTriple(a=0, b=2, c=1)"),
+    ],
+    ids=["Graph", "ForbiddenTriple"],
+)
+def test_result_constructors_keep_dataclass_behaviour(value, fields, text):
+    by_keywords = type(value)(**fields)
+    assert value == by_keywords and hash(value) == hash(by_keywords)
+    assert vars(value) == fields
+    assert repr(value) == text
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 5)
+    assert type(value)(**vars(value)) == value
+    copied = pickle.loads(pickle.dumps(value))
+    assert copied == value and hash(copied) == hash(value)
+
+
+def test_triple_replace_revalidates():
+    t = ForbiddenTriple(0, 2, 1)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        ForbiddenTriple(**{**vars(t), "a": t.b})
+    with pytest.raises(ValueError, match="normalized with a < b"):
+        ForbiddenTriple(**{**vars(t), "a": 3})
+    assert ForbiddenTriple(**{**vars(t), "c": 3}) == ForbiddenTriple(0, 2, 3)
+    g = new_graph(2, [])
+    assert Graph(**{**vars(g), "adj": (2, 1)}) == new_graph(2, [(0, 1)])
+
+
 @pytest.mark.parametrize(
     "triple, g",
     [
