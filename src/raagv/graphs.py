@@ -22,17 +22,14 @@ record's fields are its class's own annotations, in order; equality and
 hashing go by the tuple of field values, ``repr`` is ``Name(field=value,
 ...)``, and setting or deleting an attribute raises AttributeError.  The
 base's ``__init__`` takes the fields by position or keyword and then calls
-``__post_init__``, where the checked records validate them.  The records
-built once per graph of an exhaustive sweep, :class:`Graph` and (where the
-sweep calls the public deciders) :class:`ForbiddenTriple`, and the two
-per-word results of :mod:`raagv.words` and :mod:`raagv.matrixrep` write
-their own ``__init__`` instead: it fills the instance ``__dict__`` by item
-assignment, in about 0.6 of the generic one's time and 0.8 of a frozen
-dataclass's.  A field-less subclass keeps its base's fields.  The
-``__dict__`` also keeps per-object compiles, such as the word model of
-:mod:`raagv.words`; ``__getstate__`` hands ``pickle`` and ``copy`` the
-fields alone, so equal records pickle alike and a copy compiles afresh on
-first use.
+``__post_init__``, where the checked records validate them.  :class:`Graph`,
+built once per graph of an exhaustive sweep, and the per-word results of
+:mod:`raagv.words` and :mod:`raagv.matrixrep` write their own ``__init__``,
+which fills the instance ``__dict__`` in about 0.6 of the generic one's
+time.  The ``__dict__`` also keeps per-object compiles, such as the word
+model of :mod:`raagv.words`; ``__getstate__`` hands ``pickle`` and ``copy``
+the fields alone, so equal records pickle alike and a copy compiles afresh
+on first use.  A field-less subclass keeps its base's fields.
 """
 
 from __future__ import annotations
@@ -142,13 +139,6 @@ class ForbiddenTriple(_Record):
     a: int
     b: int
     c: int
-
-    def __init__(self, a: int, b: int, c: int) -> None:
-        fields = self.__dict__  # one per negative decision: per graph in a sweep of the public deciders
-        fields["a"] = a
-        fields["b"] = b
-        fields["c"] = c
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         a, b, c = self.a, self.b, self.c

@@ -43,9 +43,7 @@ class MatrixImage(_Record):
     exponents: tuple[tuple[int, int], ...]
     part_matrices: tuple[Matrix, ...]
 
-    def __init__(
-        self, exponents: tuple[tuple[int, int], ...], part_matrices: tuple[Matrix, ...]
-    ) -> None:
+    def __init__(self, exponents, part_matrices) -> None:
         fields = self.__dict__  # one per word: see the graphs module on why by hand
         fields["exponents"] = exponents
         fields["part_matrices"] = part_matrices

@@ -50,9 +50,7 @@ class NormalForm(_Record):
     abelian_exponents: tuple[tuple[int, int], ...]
     part_words: tuple[Word, ...]
 
-    def __init__(
-        self, abelian_exponents: tuple[tuple[int, int], ...], part_words: tuple[Word, ...]
-    ) -> None:
+    def __init__(self, abelian_exponents, part_words) -> None:
         fields = self.__dict__  # one per word: see the graphs module on why by hand
         fields["abelian_exponents"] = abelian_exponents
         fields["part_words"] = part_words

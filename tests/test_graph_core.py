@@ -170,8 +170,8 @@ def test_graph_is_immutable():
     assert g == new_graph(2, [(0, 1)])
 
 
-# Graph, ForbiddenTriple, NormalForm and MatrixImage have hand-written
-# constructors; the first two keep what they had as frozen dataclasses.
+# Graph has a hand-written constructor and ForbiddenTriple the record base's;
+# both keep what they had as frozen dataclasses.
 @pytest.mark.parametrize(
     "value, fields, text",
     [
